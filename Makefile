@@ -115,7 +115,7 @@ watch-smoke: build
 
 # End-to-end smoke of the post-mortem pipeline: run a deliberately
 # hard campaign (cold start, Newton capped at 12 iterations so
-# marginal solves fail visibly), explain the slowest variant — the
+# marginal solves fail visibly), explain its auto-picked variant — the
 # re-simulation must blame a named net for at least one LTE rejection
 # and one Newton retry — write the post-mortem JSON and render it
 # back with `cmldft report`.  Budgeted at five seconds.
@@ -149,8 +149,7 @@ fixtures: build
 # Kernel benchmarks + campaign scaling (with a per-core efficiency
 # column); appends an entry to the BENCH_spice.json history and fails
 # when any kernel regresses more than 25% against the last committed
-# entry — 50% for the batched-campaign kernel, whose lane scheduling
-# is more sensitive to host noise.  On a single-core host the
+# entry (50% for the campaign probe).  On a single-core host the
 # parallel-speedup gate is skipped (and says so).  Opt into it from
 # `make check` with CHECK_PERF=1 (it reruns every benchmark, minutes
 # not seconds, so it is not part of the default gate).

@@ -95,14 +95,6 @@ let tests () =
     Test.make ~name:"chain transient (2 ns)" (Staged.stage (fun () ->
         let sim = E.compile chain_net in
         ignore (T.run sim chain_net (T.config ~tstop:2e-9 ~max_step:10e-12 ()))));
-    Test.make ~name:"batched campaign transient (8 lanes)" (Staged.stage (fun () ->
-        (* the campaign hot loop in miniature: eight variants of the
-           chain advancing in lockstep through one batch workspace *)
-        let lanes = Array.init 8 (fun _ -> (E.compile chain_net, None)) in
-        let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
-        Array.iter
-          (function T.Lane_done _ -> () | T.Lane_failed _ | T.Lane_incompatible -> assert false)
-          (T.run_batch lanes chain_net cfg)));
     Test.make ~name:"crossing detection (5k samples)" (Staged.stage (fun () ->
         ignore (Cml_wave.Measure.crossings wave ~level:3.0)));
   ]
@@ -296,18 +288,6 @@ let entry_kernels entry =
 
 let regression_limit = 1.25
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* The batched-campaign kernel is a whole 8-lane workload (eight
-   compiles, eight DC solves, a shared macro grid) rather than a tight
-   inner loop, so its run-to-run spread is closer to the campaign
-   probe's than to the other kernels'; gate it at the campaign limit. *)
-let kernel_limit name =
-  if contains_sub name "batched campaign" then 1.5 else regression_limit
-
 (* kernels of the new run that got slower than their per-kernel limit
    allows vs the last committed history entry: [(name, old_ns, new_ns)] *)
 let regressions ~baseline ~kernels =
@@ -315,7 +295,7 @@ let regressions ~baseline ~kernels =
   List.filter_map
     (fun (name, ns) ->
       match List.assoc_opt name old_kernels with
-      | Some old_ns when old_ns > 0.0 && ns > kernel_limit name *. old_ns ->
+      | Some old_ns when old_ns > 0.0 && ns > regression_limit *. old_ns ->
           Some (name, old_ns, ns)
       | Some _ | None -> None)
     kernels
@@ -500,11 +480,8 @@ let run ?json ?(check = false) () =
                 camp_regs;
               let kernels_ok = regs = [] and campaign_ok = camp_regs = [] in
               Util.verdict kernels_ok
-                (Printf.sprintf
-                   "no kernel regressed more than %.0f%% vs last entry (%.0f%% for the \
-                    batched-campaign kernel)"
-                   ((regression_limit -. 1.0) *. 100.0)
-                   ((kernel_limit "batched campaign" -. 1.0) *. 100.0));
+                (Printf.sprintf "no kernel regressed more than %.0f%% vs last entry"
+                   ((regression_limit -. 1.0) *. 100.0));
               (match campaign_baseline with
               | Some _ ->
                   Util.verdict campaign_ok

@@ -357,13 +357,6 @@ let campaign_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dut" ] ~docv:"INST" ~doc)
   in
-  let no_batch_arg =
-    let doc =
-      "Simulate one transient per defect instead of the variant-lockstep batch scheduler; \
-       an escape hatch for isolating batch-scheduling interactions."
-    in
-    Arg.(value & flag & info [ "no-batch" ] ~doc)
-  in
   let max_iter_arg =
     let doc =
       "Cap Newton iterations per solve (engine default 100).  Low caps (e.g. $(b,12)) are \
@@ -390,19 +383,18 @@ let campaign_cmd =
     print_newline ();
     List.iter (fun (k, v) -> Printf.printf "%-24s %d\n" k v) (Cml_defects.Campaign.summary c)
   in
-  let chain_campaign ~freq ~dut ~no_warm_start ~no_batch ~max_iter ~manifest =
+  let chain_campaign ~freq ~dut ~no_warm_start ~max_iter ~manifest =
     let golden = Cml_cells.Chain.build ~stages:8 ~freq () in
     let defects =
       Cml_defects.Sites.enumerate golden.Cml_cells.Chain.builder.B.net ~prefix:dut
         ~pipe_values:[ 1e3; 4e3 ]
     in
-    Printf.printf "running %d defects on %s (%d jobs%s)...\n%!" (List.length defects) dut
-      (Cml_runtime.Pool.default_jobs ())
-      (if no_batch then ", unbatched" else "");
-    Cml_defects.Campaign.run ~freq ~warm_start:(not no_warm_start) ~batch:(not no_batch)
-      ?max_iter ?manifest ~defects ()
+    Printf.printf "running %d defects on %s (%d jobs)...\n%!" (List.length defects) dut
+      (Cml_runtime.Pool.default_jobs ());
+    Cml_defects.Campaign.run ~freq ~warm_start:(not no_warm_start) ?max_iter ?manifest ~defects
+      ()
   in
-  let bench_campaign ~freq ~path ~dut ~no_warm_start ~no_batch ~max_iter ~manifest =
+  let bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest =
     let circuit = Cml_logic.Bench_format.read_file ~path in
     let design = Cml_cells.Compile.compile ~freq circuit in
     let dut =
@@ -426,26 +418,23 @@ let campaign_cmd =
     let final = List.assoc out_name design.Cml_cells.Compile.outputs in
     let cells, devices = Cml_cells.Compile.stats design in
     Printf.printf
-      "compiled %s: %d cells, %d devices; attacking %s, measuring %s (%d defects, %d jobs%s)...\n%!"
+      "compiled %s: %d cells, %d devices; attacking %s, measuring %s (%d defects, %d jobs)...\n%!"
       path cells devices dut out_name (List.length defects)
-      (Cml_runtime.Pool.default_jobs ())
-      (if no_batch then ", unbatched" else "");
-    Cml_defects.Campaign.run_design ~freq ~warm_start:(not no_warm_start)
-      ~batch:(not no_batch) ?max_iter ?manifest
+      (Cml_runtime.Pool.default_jobs ());
+    Cml_defects.Campaign.run_design ~freq ~warm_start:(not no_warm_start) ?max_iter ?manifest
       ~options:[ ("bench", path); ("dut", dut) ]
       ~golden ~input:design.Cml_cells.Compile.input ~dut:dut_out ~final ~defects ()
   in
-  let run freq bench dut jobs no_warm_start no_batch max_iter trace metrics manifest events =
+  let run freq bench dut jobs no_warm_start max_iter trace metrics manifest events =
     apply_jobs jobs;
     with_telemetry ~events ~trace ~metrics @@ fun () ->
     let c =
       match bench with
       | None ->
           let dut = Option.value ~default:"x3" dut in
-          chain_campaign ~freq ~dut ~no_warm_start ~no_batch ~max_iter ~manifest
+          chain_campaign ~freq ~dut ~no_warm_start ~max_iter ~manifest
       | Some path -> (
-          match bench_campaign ~freq ~path ~dut ~no_warm_start ~no_batch ~max_iter ~manifest
-          with
+          match bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest with
           | c -> c
           | exception Cml_logic.Bench_format.Parse_error { line; message } ->
               Printf.eprintf "cmldft campaign: bench parse error at line %d: %s\n" line
@@ -467,7 +456,7 @@ let campaign_cmd =
   in
   Cmd.v info
     Term.(const run $ freq_arg $ bench_arg $ dut_arg $ jobs_arg $ no_warm_start_arg
-          $ no_batch_arg $ max_iter_arg $ trace_arg $ metrics_arg $ manifest_arg $ events_arg)
+          $ max_iter_arg $ trace_arg $ metrics_arg $ manifest_arg $ events_arg)
 
 (* ------------------------------------------------------------------ *)
 (* diagnose: waveform-level drill-down on one defect *)
@@ -1289,10 +1278,11 @@ let explain_cmd =
         exit 2
   in
   let doc =
-    "Numerical post-mortem of one campaign variant: pick the slowest or failed variant (or \
-     $(b,--variant)/$(b,--defect)), re-simulate it with solver introspection attached, and \
-     report the convergence narrative, worst-net/worst-device hotspots, per-rejection LTE \
-     blame, Newton retry blame, the dt timeline and the sparse-LU health summary."
+    "Numerical post-mortem of one campaign variant: pick the first failed variant, else the \
+     one with the most accepted steps (or $(b,--variant)/$(b,--defect)), re-simulate it \
+     with solver introspection attached, and report the convergence narrative, \
+     worst-net/worst-device hotspots, per-rejection LTE blame, Newton retry blame, the dt \
+     timeline and the sparse-LU health summary."
   in
   let info = Cmd.info "explain" ~doc in
   Cmd.v info

@@ -94,7 +94,6 @@ val run :
   ?jobs:int ->
   ?preflight:bool ->
   ?warm_start:bool ->
-  ?batch:bool ->
   ?max_iter:int ->
   ?manifest:string ->
   defects:Defect.t list ->
@@ -120,17 +119,10 @@ val run :
     variant that rejects the nominal seed falls back to cold
     seeding.
 
-    Unless [batch] is [false], variants run through the
-    variant-lockstep batch scheduler
-    ({!Cml_spice.Transient.run_batch}): contiguous slices of the
-    defect list advance through a shared macro time grid as lanes of
-    one batch (grouped by unknown layout within a slice), with
-    diverging lanes retiring early.  Classification results match the
-    scalar path — both read the same streamed probes — but variant
-    trajectories are not bit-identical step for step, and per-variant
-    [v_seconds] telemetry is the batch wall time amortised over its
-    lanes.  [batch = false] keeps the classic one-transient-per-defect
-    path (the parity oracle in tests).
+    Each variant is one pool task: inject the defect, compile the
+    faulty netlist, run one transient and classify its streamed
+    probes.  Per-variant [v_seconds] telemetry is that task's own wall
+    time.
 
     [max_iter] caps Newton iterations per solve (default: the engine's
     100) for every compiled sim of the run, reference included — a
@@ -150,7 +142,6 @@ val run_design :
   ?jobs:int ->
   ?preflight:bool ->
   ?warm_start:bool ->
-  ?batch:bool ->
   ?max_iter:int ->
   ?manifest:string ->
   ?options:(string * string) list ->
@@ -166,15 +157,12 @@ val run_design :
     the built-in buffer chain.  [input] is the toggling stimulus
     pair (delay reference), [dut] the attacked cell's output pair
     and [final] the primary output whose swing decides the stuck-at
-    class.  Semantics of [warm_start], [batch], [jobs], [preflight],
-    [max_iter] and [manifest] match {!run}; [options] prepends caller context
-    (e.g. the bench path) to the manifest options.  There is no
-    stage chain, so measurements carry no healing profile
-    ([degraded_at] and [healing_depth] are [None]) and the manifest's
-    healing histogram reads "clean".  Batched lanes of one layout
-    group additionally share one sparse symbolic analysis
-    ({!Cml_spice.Engine.share_symbolic}): the campaign pays for one
-    column ordering per group, not one per defect. *)
+    class.  Semantics of [warm_start], [jobs], [preflight], [max_iter]
+    and [manifest] match {!run}, and both share one campaign core;
+    [options] prepends caller context (e.g. the bench path) to the
+    manifest options.  There is no stage chain, so measurements carry
+    no healing profile ([degraded_at] and [healing_depth] are [None])
+    and the manifest's healing histogram reads "clean". *)
 
 val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
 (** The run manifest [?manifest] writes; exposed so callers can stamp

@@ -78,10 +78,8 @@ let effective_limit ?(samples = 2000) ?(seed = 42) ?jobs model =
   (* each sample reseeds from its own index, so the limits array is
      identical at any job count *)
   let limits =
-    Cml_runtime.Pool.parallel_map_batches ?jobs
-      (Array.map (fun k ->
-           let st = Random.State.make [| seed; k; 0xD047 |] in
-           sample_limit model st))
+    Cml_runtime.Pool.parallel_map ?jobs
+      (fun k -> sample_limit model (Random.State.make [| seed; k; 0xD047 |]))
       (Array.init samples Fun.id)
   in
   Tel.Metrics.add m_samples samples;

@@ -108,12 +108,16 @@ let select ~selection m =
       match List.find_opt (fun v -> List.mem "failed" v.M.v_classes) variants with
       | Some v -> (v, "first failed variant")
       | None ->
-          let slowest =
+          (* the most accepted steps, not the longest wall time: the
+             pick must not depend on how busy the host was.  Ties go
+             to the lowest index. *)
+          let steps v = Option.value ~default:0.0 (List.assoc_opt "accepted_steps" v.M.v_metrics) in
+          let longest =
             List.fold_left
-              (fun a v -> if v.M.v_seconds > a.M.v_seconds then v else a)
+              (fun a v -> if steps v > steps a then v else a)
               (List.hd variants) variants
           in
-          (slowest, Printf.sprintf "slowest variant (%.3g s)" slowest.M.v_seconds))
+          (longest, Printf.sprintf "most accepted steps (%.0f)" (steps longest)))
 
 (* ------------------------------------------------------------------ *)
 (* Rebuilding the variant's circuit from the manifest options *)

@@ -16,7 +16,9 @@
 
 type selection =
   | Auto
-      (** the first variant classified ["failed"], else the slowest *)
+      (** the first variant classified ["failed"], else the one with
+          the most accepted transient steps (ties: lowest index) — a
+          pick that does not depend on host timing *)
   | Nth of int  (** variant by 0-based run index ([--variant]) *)
   | Named of string
       (** first variant whose name contains the (case-insensitive)

@@ -65,10 +65,7 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
     (vfb > decision, vout)
   in
   (* each sample derives its own perturbed netlist from (seed + k)
-     and compiles a fresh sim, so samples are independent tasks; they
-     are scheduled as contiguous slices (one pool task per slice, see
-     {!Cml_runtime.Pool.parallel_map_batches}) so the per-task
-     wake-up/handoff cost is paid per slice, not per sample *)
+     and compiles a fresh sim, so samples are independent tasks *)
   let run_options =
     [
       ("n", string_of_int n);
@@ -84,34 +81,34 @@ let run ?(proc = Cml_cells.Process.default) ?(spec = Cml_defects.Variation.defau
   Cml_runtime.Pool.reset_stall_watermarks ();
   let wall_t0 = Tel.Clock.now_ns () in
   let outcomes =
-    Cml_runtime.Pool.parallel_map_batches ?jobs
-      (Array.map (fun k ->
-           let name = Printf.sprintf "sample %d" k in
-           Tel.Progress.variant_start name;
-           let tok = Tel.Trace.start () in
-           let t0 = Tel.Clock.now_ns () in
-           let good = measure golden x_good k and bad = measure faulty x_bad k in
-           let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
-           Tel.Metrics.incr m_samples;
-           Tel.Metrics.observe m_sample_seconds seconds;
-           Tel.Trace.finish ~cat:"montecarlo"
-             ~args:(if tok >= 0L then [ ("sample", Tel.Trace.I k) ] else [])
-             "sample" tok;
-           Tel.Progress.variant_finish ~failed:false;
-           let flagged_good, _ = good and flagged_bad, _ = bad in
-           Tel.Events.variant_done ev_run
-             {
-               Tel.Events.ev_idx = k;
-               ev_name = name;
-               ev_classes =
-                 ((if flagged_good then [ "false-alarm" ] else [])
-                 @ if flagged_bad then [ "detected" ] else [ "missed" ]);
-               ev_healing = None;
-               ev_failed = false;
-               ev_steps = 0;  (* DC-only: no transient steps *)
-               ev_seconds = seconds;
-             };
-           (good, bad, seconds)))
+    Cml_runtime.Pool.parallel_map ?jobs
+      (fun k ->
+        let name = Printf.sprintf "sample %d" k in
+        Tel.Progress.variant_start name;
+        let tok = Tel.Trace.start () in
+        let t0 = Tel.Clock.now_ns () in
+        let good = measure golden x_good k and bad = measure faulty x_bad k in
+        let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
+        Tel.Metrics.incr m_samples;
+        Tel.Metrics.observe m_sample_seconds seconds;
+        Tel.Trace.finish ~cat:"montecarlo"
+          ~args:(if tok >= 0L then [ ("sample", Tel.Trace.I k) ] else [])
+          "sample" tok;
+        Tel.Progress.variant_finish ~failed:false;
+        let flagged_good, _ = good and flagged_bad, _ = bad in
+        Tel.Events.variant_done ev_run
+          {
+            Tel.Events.ev_idx = k;
+            ev_name = name;
+            ev_classes =
+              ((if flagged_good then [ "false-alarm" ] else [])
+              @ if flagged_bad then [ "detected" ] else [ "missed" ]);
+            ev_healing = None;
+            ev_failed = false;
+            ev_steps = 0;  (* DC-only: no transient steps *)
+            ev_seconds = seconds;
+          };
+        (good, bad, seconds))
       (Array.init samples Fun.id)
   in
   let false_alarms = ref 0 and missed = ref 0 in

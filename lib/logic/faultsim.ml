@@ -70,17 +70,16 @@ let detects c ~initial ~patterns fault =
 let coverage ?jobs c ~initial ~patterns =
   let faults = Array.of_list (all_faults c) in
   (* good/faulty machine pairs are rebuilt per fault; the circuit and
-     pattern list are only read, so faults fan out over domains — in
-     contiguous slices, since a single fault is far too small a task
-     to pay the pool handoff for *)
+     pattern list are only read, so faults fan out over domains (the
+     pool claims them in chunks, so a tiny task does not pay a handoff
+     each).  Per-fault labels would cost more than the simulation of a
+     fault: progress gets a bare item count instead. *)
   let hits =
-    Cml_runtime.Pool.parallel_map_batches ?jobs
-      (fun slice ->
-        (* per-fault labels would cost more than the simulation of a
-           fault; report whole slices to the progress lanes instead *)
-        let r = Array.map (detects c ~initial ~patterns) slice in
-        Cml_telemetry.Progress.note_items (Array.length slice);
-        r)
+    Cml_runtime.Pool.parallel_map ?jobs
+      (fun fault ->
+        let hit = detects c ~initial ~patterns fault in
+        Cml_telemetry.Progress.note_items 1;
+        hit)
       faults
   in
   let detected = Array.fold_left (fun n hit -> if hit then n + 1 else n) 0 hits in

@@ -394,30 +394,3 @@ let health f (a : Sparse.csc) =
     u_diag_min = dmin;
     condition_estimate = (if dmin > 0.0 then !dmax /. dmin else 0.0);
   }
-
-(* Sharing a symbolic analysis between structurally identical systems
-   (batch lanes of one compiled design): the index arrays, pivot order
-   and column order are immutable after [factorize], so a second
-   matrix with the same pattern *content* can reuse them wholesale and
-   only needs its own numeric storage.  The adopted factor starts with
-   meaningless values — the caller must [refactorize] it (and fall
-   back to a fresh [factorize] if the donor's pivot order is unstable
-   for the new values). *)
-let adopt_symbolic donor (a : Sparse.csc) =
-  if
-    donor.n = a.Sparse.n
-    && donor.a_colptr = a.Sparse.colptr
-    && donor.a_rowind = a.Sparse.rowind
-  then
-    Some
-      {
-        donor with
-        l_values = Array.make (Array.length donor.l_values) 0.0;
-        u_values = Array.make (Array.length donor.u_values) 0.0;
-        qwork = (if donor.q_identity then [||] else Array.make donor.n 0.0);
-        a_colptr = a.Sparse.colptr;
-        a_rowind = a.Sparse.rowind;
-        work = Array.make donor.n 0.0;
-        last_failure = None;
-      }
-  else None

@@ -95,12 +95,3 @@ val health : factor -> Sparse.csc -> health
 (** Numerical-health report for the current values of [f] against the
     matrix it factored.  Pure O(nnz) scans: safe to call at run
     boundaries, not meant for the per-solve hot path. *)
-
-val adopt_symbolic : factor -> Sparse.csc -> factor option
-(** [adopt_symbolic donor a] shares the donor's symbolic analysis
-    (orderings, patterns, pivot order — immutable after
-    {!factorize}) with a matrix whose pattern has the same {e
-    content}, returning a factor with fresh numeric storage that the
-    caller must {!refactorize} before solving (falling back to
-    {!factorize} if the donor's pivot order is unstable for the new
-    values).  [None] when the patterns differ. *)

@@ -385,49 +385,3 @@ let parallel_map ?jobs f arr =
 
 let parallel_list_map ?jobs f l =
   Array.to_list (parallel_map ?jobs f (Array.of_list l))
-
-(* ------------------------------------------------------------------ *)
-(* Size-aware batch scheduling.
-
-   Lockstep solvers amortise per-batch costs (shared macro grid,
-   staging planes, factor reuse warm-up) over the lanes of a batch, so
-   the unit of pool work should be a contiguous *slice* of the input,
-   not a single element: one pool task per slice keeps every domain
-   busy with a full batch while preserving the deterministic
-   element-order of [parallel_map].  Slices are sized to give each
-   active domain about four tasks (tail balancing) within the caller's
-   [min_batch]/[max_batch] bounds. *)
-
-let parallel_map_batches ?jobs ?(min_batch = 1) ?(max_batch = max_int) f arr =
-  if min_batch < 1 then invalid_arg "Pool.parallel_map_batches: min_batch must be >= 1";
-  if max_batch < min_batch then
-    invalid_arg "Pool.parallel_map_batches: max_batch must be >= min_batch";
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let cores = Domain.recommended_domain_count () in
-    let active = max 1 (min (min jobs n) cores) in
-    let size =
-      let per = (n + (active * 4) - 1) / (active * 4) in
-      min max_batch (max min_batch per)
-    in
-    let nslices = (n + size - 1) / size in
-    let slices =
-      Array.init nslices (fun k ->
-          let lo = k * size in
-          (lo, min n (lo + size) - lo))
-    in
-    let run (lo, len) = f (Array.sub arr lo len) in
-    let results =
-      if nslices = 1 || active <= 1 then
-        account_sequential ~items:nslices (fun () -> Array.map run slices)
-      else map (global_pool ~at_least:jobs) ~jobs run slices
-    in
-    Array.iteri
-      (fun k r ->
-        if Array.length r <> snd slices.(k) then
-          invalid_arg "Pool.parallel_map_batches: f changed the slice length")
-      results;
-    Array.concat (Array.to_list results)
-  end

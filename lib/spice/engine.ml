@@ -89,11 +89,6 @@ type sparse_backend = {
           stability allow it *)
   mutable symbolic : int;  (** full factorizations performed *)
   mutable numeric : int;  (** numeric-only refactorizations *)
-  mutable shared : int;  (** symbolic analyses adopted from a donor sim *)
-  mutable donor : Cml_numerics.Sparse_lu.factor option;
-      (** a structurally identical sim's factor offered via
-          {!share_symbolic}; tried once before the first full
-          factorization *)
   mutable sstamp : int -> int -> float -> unit;
       (** prebuilt stamping closure: appends triplet entries until the
           pattern is compressed, then overwrites values in entry
@@ -268,8 +263,6 @@ let compile ?(options = default_options) net =
           lu = None;
           symbolic = 0;
           numeric = 0;
-          shared = 0;
-          donor = None;
           sstamp = (fun _ _ _ -> ());
         }
       in
@@ -618,60 +611,34 @@ let solve_linear_into sim out =
              pivot order, fill pattern, buffer allocation) is done once
              and only the numeric elimination repeats; a degraded pivot
              falls back to a full factorization with a fresh pivot order *)
-          let fresh_factorize () =
-            let f = Cml_numerics.Sparse_lu.factorize a in
-            sp.lu <- Some f;
-            sp.symbolic <- sp.symbolic + 1;
-            f
-          in
-          (* a refactorize that bailed forces a full factorization;
-             attribute the fallback to its recorded reason *)
-          let note_fallback f =
-            let reason =
-              match Cml_numerics.Sparse_lu.last_refactor_failure f with
-              | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
-                  sim.n_fb_small_pivot <- sim.n_fb_small_pivot + 1;
-                  Introspect.lu_small_pivot
-              | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
-                  sim.n_fb_unstable_pivot <- sim.n_fb_unstable_pivot + 1;
-                  Introspect.lu_unstable_pivot
-              | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
-                  sim.n_fb_pattern <- sim.n_fb_pattern + 1;
-                  Introspect.lu_pattern
-            in
-            Introspect.note_lu_fallback sim.introspect ~reason
-          in
           let f =
             match sp.lu with
             | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
                 sp.numeric <- sp.numeric + 1;
                 f
-            | Some f ->
-                note_fallback f;
-                fresh_factorize ()
-            | None -> begin
-                (* first factorization: a donor sim of the same design
-                   may have offered its symbolic analysis — adopt it
-                   (ordering, patterns, pivot order) and only run the
-                   numeric elimination, unless its pivot order is
-                   unstable for this sim's values *)
-                match sp.donor with
-                | None -> fresh_factorize ()
-                | Some d -> begin
-                    sp.donor <- None;
-                    match Cml_numerics.Sparse_lu.adopt_symbolic d a with
-                    | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
-                        sp.lu <- Some f;
-                        sp.shared <- sp.shared + 1;
-                        f
-                    | Some f ->
-                        (* the donor's pivot order is unstable for
-                           this sim's values *)
-                        note_fallback f;
-                        fresh_factorize ()
-                    | None -> fresh_factorize ()
-                  end
-              end
+            | prev ->
+                (* a refactorize that bailed forces a full factorization;
+                   attribute the fallback to its recorded reason *)
+                (match prev with
+                | None -> ()
+                | Some f ->
+                    let reason =
+                      match Cml_numerics.Sparse_lu.last_refactor_failure f with
+                      | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
+                          sim.n_fb_small_pivot <- sim.n_fb_small_pivot + 1;
+                          Introspect.lu_small_pivot
+                      | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
+                          sim.n_fb_unstable_pivot <- sim.n_fb_unstable_pivot + 1;
+                          Introspect.lu_unstable_pivot
+                      | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
+                          sim.n_fb_pattern <- sim.n_fb_pattern + 1;
+                          Introspect.lu_pattern
+                    in
+                    Introspect.note_lu_fallback sim.introspect ~reason);
+                let f = Cml_numerics.Sparse_lu.factorize a in
+                sp.lu <- Some f;
+                sp.symbolic <- sp.symbolic + 1;
+                f
           in
           sim.rt_have_factor <- true;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
@@ -681,7 +648,6 @@ let solve_linear_into sim out =
 type solver_stats = {
   symbolic_factorizations : int;
   numeric_refactorizations : int;
-  shared_symbolic : int;
   newton_iters : int;
   device_loads : int;
   bypassed_loads : int;
@@ -702,10 +668,10 @@ type solver_stats = {
 }
 
 let solver_stats sim =
-  let symbolic, numeric, shared, lu, health =
+  let symbolic, numeric, lu, health =
     match sim.backend with
-    | BDense _ -> (0, 0, 0, None, None)
-    | BSparse { symbolic; numeric; shared; lu; pat; _ } ->
+    | BDense _ -> (0, 0, None, None)
+    | BSparse { symbolic; numeric; lu; pat; _ } ->
         (* run-boundary call: the O(nnz) health scan is off the solve
            path by construction *)
         let health =
@@ -714,12 +680,11 @@ let solver_stats sim =
               Some (Cml_numerics.Sparse_lu.health f (Cml_numerics.Sparse.csc_of_pattern p))
           | (Some _ | None), _ -> None
         in
-        (symbolic, numeric, shared, lu, health)
+        (symbolic, numeric, lu, health)
   in
   {
     symbolic_factorizations = symbolic;
     numeric_refactorizations = numeric;
-    shared_symbolic = shared;
     newton_iters = sim.n_newton_iters;
     device_loads = sim.n_diode_loads + sim.n_bjt_loads;
     bypassed_loads = sim.n_diode_bypassed + sim.n_bjt_bypassed;
@@ -750,7 +715,6 @@ let zero_stats =
   {
     symbolic_factorizations = 0;
     numeric_refactorizations = 0;
-    shared_symbolic = 0;
     newton_iters = 0;
     device_loads = 0;
     bypassed_loads = 0;
@@ -786,11 +750,6 @@ let device_label sim di =
     | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ ->
         Printf.sprintf "device[%d]" di
 
-let share_symbolic ~donor sim =
-  match (donor.backend, sim.backend) with
-  | BSparse d, BSparse s -> ( match d.lu with Some f -> s.donor <- Some f | None -> ())
-  | (BDense _ | BSparse _), (BDense _ | BSparse _) -> ()
-
 let lu_fill sim =
   match sim.backend with
   | BDense _ | BSparse { lu = None; _ } -> None
@@ -810,7 +769,6 @@ let m_device_loads = M.counter "engine.device_loads"
 let m_bypassed = M.counter "engine.bypassed_loads"
 let m_reused = M.counter "solver.reused_factorizations"
 let m_skipped = M.counter "solver.skipped_solves"
-let m_shared = M.counter "solver.shared_symbolic"
 let m_lu_fill = M.gauge "solver.lu_fill_nnz"
 let m_lu_fill_ratio = M.gauge "solver.lu_fill_ratio"
 let m_ordering_amd = M.counter "solver.ordering.amd"
@@ -834,7 +792,6 @@ let publish_metrics ?(since = zero_stats) sim =
   M.add m_bypassed (now.bypassed_loads - since.bypassed_loads);
   M.add m_reused (now.reused_factorizations - since.reused_factorizations);
   M.add m_skipped (now.skipped_solves - since.skipped_solves);
-  M.add m_shared (now.shared_symbolic - since.shared_symbolic);
   M.add m_diode_loads (now.diode_loads - since.diode_loads);
   M.add m_diode_bypassed (now.diode_bypassed - since.diode_bypassed);
   M.add m_bjt_loads (now.bjt_loads - since.bjt_loads);

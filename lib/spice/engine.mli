@@ -111,10 +111,6 @@ type solver_stats = {
   numeric_refactorizations : int;
       (** numeric-only refactorizations reusing the cached symbolic
           analysis — the cheap per-Newton-iteration path *)
-  shared_symbolic : int;
-      (** symbolic analyses adopted wholesale from a donor sim via
-          {!share_symbolic} instead of being recomputed — batch lanes
-          of one design pay for one ordering + pattern analysis *)
   newton_iters : int;
       (** Newton iterations (assemble + linear solve) since
           {!compile} *)
@@ -193,16 +189,6 @@ val lu_fill : sim -> (int * int) option
 (** [(nnz L, nnz U)] of the cached sparse LU factor, [None] for the
     dense backend or before the first factorization. *)
 
-val share_symbolic : donor:sim -> sim -> unit
-(** Offer the donor's cached sparse symbolic analysis (column
-    ordering, L/U patterns, pivot order) to [sim], to be adopted at
-    its first factorization if the Jacobian patterns match — the
-    batch scheduler calls this so K lanes of one design run one
-    symbolic analysis and K numeric refactorizations.  A stale or
-    mismatched offer is harmless: adoption silently falls back to a
-    full factorization.  No-op unless both sims use the sparse
-    backend and the donor has factored. *)
-
 val publish_metrics : ?since:solver_stats -> sim -> unit
 (** Fold this sim's counter movement since [since] (default: a fresh
     sim) into the global {!Cml_telemetry.Metrics} registry
@@ -210,7 +196,7 @@ val publish_metrics : ?since:solver_stats -> sim -> unit
     [engine.bypassed_loads], per-class [engine.diode_*] /
     [engine.bjt_*], [solver.*_refactorizations],
     [solver.reused_factorizations], [solver.skipped_solves],
-    [solver.shared_symbolic], [solver.fallback.*],
+    [solver.fallback.*],
     [solver.lu_fill_nnz], [solver.lu_fill_ratio],
     [solver.lu_pivot_growth], [solver.lu_condition],
     [solver.ordering.*]).  Called at run boundaries, never inside the

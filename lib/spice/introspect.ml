@@ -1,8 +1,8 @@
 (* Optional per-simulation solver introspection.
 
    One recorder per [Engine.sim] (attached with
-   [Engine.set_introspect]), so batched lanes tag their records per
-   lane for free — each lane owns its sim, hence its recorder.  Every
+   [Engine.set_introspect]), so each variant's records are its own —
+   every variant owns its sim, hence its recorder.  Every
    hot-path entry point takes a [t option] and performs exactly one
    match when disabled, the same contract as
    {!Cml_telemetry.Progress.note_step}: the engine stores the option

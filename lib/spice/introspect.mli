@@ -5,8 +5,8 @@
     attribution, per-rejection LTE blame (which node forced the step
     down, and the rejection cascade depth), the step-size controller's
     dt timeline with cause tags, and the reasons for every LU
-    stability fallback.  Batched lanes each own a sim, so attaching
-    one recorder per lane tags everything per lane.
+    stability fallback.  Each campaign variant owns its sim, so one
+    recorder per sim tags everything per variant.
 
     Contract (the same as {!Cml_telemetry.Progress.note_step}): every
     [note_*] entry point takes a [t option] and costs one call and one
@@ -17,7 +17,7 @@
 type t
 
 val create : ?label:string -> unit -> t
-(** Fresh empty recorder; [label] names the lane/variant it is
+(** Fresh empty recorder; [label] names the variant it is
     attached to (post-mortem display only). *)
 
 val label : t -> string

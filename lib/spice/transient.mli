@@ -148,48 +148,6 @@ val run :
 
     @raise Engine.No_convergence when a step fails at [min_step]. *)
 
-type lane_result =
-  | Lane_done of result  (** the lane ran to [tstop] *)
-  | Lane_failed of string
-      (** the lane's Newton solve failed at [min_step] (the
-          {!Engine.No_convergence} message) or its DC start diverged *)
-  | Lane_incompatible
-      (** the lane's unknown count differs from lane 0's, so it could
-          not share the batch workspace — run it scalar instead *)
-
-val run_batch :
-  ?guide:result ->
-  ?breakpoints:float array ->
-  (Engine.sim * observers option) array ->
-  Netlist.t ->
-  config ->
-  lane_result array
-(** Advance every lane (a compiled variant of one stimulus, plus its
-    probe set) through the transient in lockstep: the lanes share one
-    macro time grid — the guide's accepted instants when [guide] is
-    given, else source breakpoints padded with a coarse uniform grid —
-    and between grid points each lane sub-steps under its own adaptive
-    control, re-synchronising at each grid point through a flat
-    {!Cml_numerics.Batch} plane.  A lane that diverges retires from
-    the batch immediately ([Lane_failed]) without stalling the rest;
-    the others never see its failure.
-
-    Lane 0's unknown count fixes the batch width; lanes with a
-    different layout are reported [Lane_incompatible] without running.
-    [guide] seeds each compatible lane exactly like {!run} (and is
-    ignored, per lane, on a layout mismatch).
-
-    Because a lane's steps are clamped to the macro grid, its time
-    points are not bit-identical to a scalar {!run} of the same sim —
-    classification-level results (probe measurements, convergence
-    outcome) are what batch and scalar runs share.  Results are
-    returned in lane order.
-
-    Introspection is tagged per lane for free: each lane owns its sim,
-    so attaching a recorder per sim ({!Engine.set_introspect}) yields
-    per-lane Newton/LTE/dt records — a [Lane_failed] retirement
-    becomes explainable from that lane's recorder alone. *)
-
 val node_trace : result -> Netlist.node -> float array
 (** Voltage samples of a node, aligned with [times]. *)
 

@@ -74,7 +74,7 @@ module Estimator = struct
 
   let create ~total ~now_s = { e_total = total; e_start_s = now_s; e_completed = 0 }
 
-  (* [completed] counts retired lanes whatever their fate: a failed
+  (* [completed] counts finished variants whatever their fate: a failed
      variant consumed its share of the run just like a clean one, so
      retirement must pull the ETA down, never push it up. *)
   let note t ~completed = if completed > t.e_completed then t.e_completed <- completed

@@ -12,9 +12,8 @@
    attribution by span group across the manifests.
 
    The regression limits mirror bench/perf.ml's gate: 1.25x for
-   kernels, 1.5x for the batched-campaign kernel and the campaign
-   probe (whole parallel workloads carry scheduler noise a bechamel
-   best-of-N does not). *)
+   kernels, 1.5x for the campaign probe (a whole parallel workload
+   carries scheduler noise a bechamel best-of-N does not). *)
 
 (* ------------------------------------------------------------------ *)
 (* Sparklines *)
@@ -82,12 +81,7 @@ let entry_campaign entry =
       | _ -> None)
   | _ -> None
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let kernel_limit name = if contains_sub name "batched campaign" then 1.5 else 1.25
+let kernel_limit = 1.25
 
 let campaign_limit = 1.5
 
@@ -118,7 +112,7 @@ let kernel_trends history =
         k_last = last;
         k_prev = prev;
         k_regressed =
-          (match prev with Some p -> p > 0.0 && last > kernel_limit name *. p | None -> false);
+          (match prev with Some p -> p > 0.0 && last > kernel_limit *. p | None -> false);
       })
     names
 
@@ -209,7 +203,7 @@ let render ?(history = []) ?(manifests = []) () =
         line "  %-44s %s %12s %10s%s" k.k_name (padded_spark 12 k.k_series)
           (pretty_ns k.k_last) delta
           (if k.k_regressed then
-             Printf.sprintf "  REGRESSION (limit +%.0f%%)" ((kernel_limit k.k_name -. 1.0) *. 100.0)
+             Printf.sprintf "  REGRESSION (limit +%.0f%%)" ((kernel_limit -. 1.0) *. 100.0)
            else ""))
       (kernel_trends history);
     (match campaign_trend history with

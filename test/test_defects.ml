@@ -183,50 +183,6 @@ let test_campaign_warm_start_parity () =
     (Cml_defects.Campaign.summary warm)
 
 (* ------------------------------------------------------------------ *)
-(* Property: the variant-lockstep batch scheduler is a pure solver
-   accelerant — for any defect list and either seeding policy, the
-   classification of every entry matches the sequential per-variant
-   path. *)
-
-let defect_pool =
-  [|
-    D.Pipe { device = "x2.q3"; r = 4e3 };
-    D.Pipe { device = "x2.q3"; r = 10e6 };
-    D.Terminal_short { device = "x2.q2"; t1 = "c"; t2 = "e" };
-    D.Resistor_short { device = "x2.r1" };
-    D.Open_terminal { device = "x2.q1"; terminal = "b" };
-  |]
-
-let classification c =
-  List.map
-    (fun e ->
-      ( D.describe e.Cml_defects.Campaign.defect,
-        match e.Cml_defects.Campaign.outcome with
-        | Cml_defects.Campaign.Failed _ -> "failed"
-        | Cml_defects.Campaign.Measured (_, f) ->
-            Printf.sprintf "stuck=%b exc=%b red=%b delay=%b iddq=%b healed=%b"
-              f.Cml_defects.Campaign.stuck f.Cml_defects.Campaign.excessive_excursion
-              f.Cml_defects.Campaign.reduced_swing f.Cml_defects.Campaign.delay_detectable
-              f.Cml_defects.Campaign.iddq_detectable f.Cml_defects.Campaign.healed ))
-    c.Cml_defects.Campaign.entries
-
-let prop_batch_matches_sequential =
-  QCheck2.Test.make ~name:"batched campaign classifies like sequential (warm and cold)" ~count:3
-    QCheck2.Gen.(list_size (int_range 1 4) (int_range 0 (Array.length defect_pool - 1)))
-    (fun picks ->
-      let defects = List.map (fun i -> defect_pool.(i)) picks in
-      List.for_all
-        (fun warm_start ->
-          let go batch =
-            Cml_defects.Campaign.run ~stages:4 ~dut:2 ~freq:1e9 ~tstop:4e-9 ~jobs:1
-              ~warm_start ~batch ~defects ()
-          in
-          let batched = go true and sequential = go false in
-          classification batched = classification sequential
-          && Cml_defects.Campaign.summary batched = Cml_defects.Campaign.summary sequential)
-        [ true; false ])
-
-(* ------------------------------------------------------------------ *)
 (* Campaign on a compiled .bench design *)
 
 let test_campaign_run_design_smoke () =
@@ -305,6 +261,4 @@ let () =
           Alcotest.test_case "warm-start parity" `Slow test_campaign_warm_start_parity;
           Alcotest.test_case "compiled design smoke" `Slow test_campaign_run_design_smoke;
         ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_batch_matches_sequential ] );
     ]

@@ -185,6 +185,43 @@ let test_explain_deterministic_and_blaming () =
           Alcotest.(check string) "render identical after round-trip" (PM.render_text pm)
             (PM.render_text back)))
 
+(* The re-simulation replays the run that happened: for every variant
+   of a warm-started campaign, explain reports the step and Newton
+   counts the manifest recorded for it. *)
+let test_explain_replays_campaign () =
+  let path = Filename.temp_file "cmldft_replay" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
+      let sites =
+        Cml_defects.Sites.enumerate chain.Cml_cells.Chain.builder.Cml_cells.Builder.net
+          ~prefix:"x3" ~pipe_values:[ 4e3 ]
+      in
+      let first p = List.find p sites in
+      let defects =
+        [
+          first (function D.Pipe _ -> true | _ -> false);
+          first (function D.Terminal_short _ -> true | _ -> false);
+          first (function D.Open_terminal _ -> true | _ -> false);
+        ]
+      in
+      ignore (Cml_defects.Campaign.run ~jobs:1 ~warm_start:true ~manifest:path ~defects ());
+      let m = Cml_telemetry.Manifest.read ~path in
+      List.iteri
+        (fun i (v : Cml_telemetry.Manifest.variant) ->
+          let pm = Cml_dft.Explain.explain_path ~selection:(Cml_dft.Explain.Nth i) path in
+          List.iter
+            (fun key ->
+              Alcotest.(check (option (float 0.0)))
+                (Printf.sprintf "%s: %s" v.Cml_telemetry.Manifest.v_name key)
+                (List.assoc_opt key v.Cml_telemetry.Manifest.v_metrics)
+                (List.assoc_opt key pm.PM.pm_stats))
+            [ "accepted_steps"; "newton_iters" ])
+        m.Cml_telemetry.Manifest.variants;
+      Alcotest.(check int) "every variant replayed" (List.length defects)
+        (List.length m.Cml_telemetry.Manifest.variants))
+
 let test_explain_rejects_foreign_sources () =
   let check_fails source =
     match Cml_dft.Explain.explain ~source (Cml_telemetry.Manifest.create ~kind:"op" ()) with
@@ -222,6 +259,8 @@ let () =
         [
           Alcotest.test_case "deterministic, blames nets, round-trips" `Slow
             test_explain_deterministic_and_blaming;
+          Alcotest.test_case "replays every variant of a campaign" `Slow
+            test_explain_replays_campaign;
           Alcotest.test_case "rejects non-campaign sources" `Quick
             test_explain_rejects_foreign_sources;
         ] );

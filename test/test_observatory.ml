@@ -260,21 +260,16 @@ let perf_entry ~jobs ~cores kernels campaign =
 let test_trend_regression_flags () =
   let history =
     [
-      perf_entry ~jobs:4 ~cores:4 [ ("solve", 100.0); ("batched campaign", 1000.0) ]
-        (Some (10.0, 4.0));
-      perf_entry ~jobs:4 ~cores:4 [ ("solve", 130.0); ("batched campaign", 1400.0) ]
-        (Some (10.5, 4.1));
+      perf_entry ~jobs:4 ~cores:4 [ ("solve", 100.0) ] (Some (10.0, 4.0));
+      perf_entry ~jobs:4 ~cores:4 [ ("solve", 130.0) ] (Some (10.5, 4.1));
     ]
   in
   (match Trend.kernel_trends history with
-  | [ solve; batched ] ->
+  | [ solve ] ->
       (* 1.3x > the 1.25x kernel limit *)
       Alcotest.(check bool) "solve regressed at 1.25x" true solve.Trend.k_regressed;
-      (* 1.4x < the 1.5x whole-workload limit *)
-      Alcotest.(check bool) "batched campaign tolerated at 1.5x" false
-        batched.Trend.k_regressed;
       Alcotest.(check int) "series length" 2 (List.length solve.Trend.k_series)
-  | _ -> Alcotest.fail "expected two kernel rows");
+  | _ -> Alcotest.fail "expected one kernel row");
   match Trend.campaign_trend history with
   | Some c ->
       Alcotest.(check int) "probe matches both entries" 2 (List.length c.Trend.c_series);

@@ -69,51 +69,6 @@ let test_default_jobs_positive () =
     (Pool.default_jobs ());
   Pool.set_default_jobs 1
 
-let test_parallel_map_batches_matches_sequential () =
-  let f x = (2 * x) - 7 in
-  let lift slice = Array.map f slice in
-  List.iter
-    (fun n ->
-      let arr = Array.init n (fun i -> i - 11) in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "n=%d jobs=%d equals Array.map" n jobs)
-            (Array.map f arr)
-            (Pool.parallel_map_batches ~jobs lift arr))
-        [ 1; 3; 4 ])
-    [ 0; 1; 7; 64; 257 ]
-
-let test_parallel_map_batches_respects_bounds () =
-  (* every slice f sees must be within [min_batch, max_batch] (the
-     last slice may be shorter than min_batch when the tail runs out) *)
-  let arr = Array.init 100 Fun.id in
-  let sizes = ref [] in
-  let collect slice =
-    sizes := Array.length slice :: !sizes;
-    slice
-  in
-  let got = Pool.parallel_map_batches ~jobs:1 ~min_batch:8 ~max_batch:16 collect arr in
-  Alcotest.(check (array int)) "identity over slices" arr got;
-  List.iter
-    (fun len -> Alcotest.(check bool) "slice size bounded" true (len >= 1 && len <= 16))
-    !sizes;
-  Alcotest.(check bool) "invalid bounds rejected" true
-    (match Pool.parallel_map_batches ~min_batch:0 Fun.id arr with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "max below min rejected" true
-    (match Pool.parallel_map_batches ~min_batch:4 ~max_batch:2 Fun.id arr with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_parallel_map_batches_checks_result_length () =
-  let arr = Array.init 32 Fun.id in
-  Alcotest.(check bool) "length-changing f rejected" true
-    (match Pool.parallel_map_batches ~jobs:1 (fun _ -> [| 1 |]) arr with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign determinism *)
 
@@ -247,12 +202,6 @@ let () =
           Alcotest.test_case "pool reusable after exception" `Quick
             test_pool_reusable_after_exception;
           Alcotest.test_case "default_jobs sanity" `Quick test_default_jobs_positive;
-          Alcotest.test_case "map_batches matches sequential" `Quick
-            test_parallel_map_batches_matches_sequential;
-          Alcotest.test_case "map_batches respects bounds" `Quick
-            test_parallel_map_batches_respects_bounds;
-          Alcotest.test_case "map_batches checks result length" `Quick
-            test_parallel_map_batches_checks_result_length;
         ] );
       ( "campaign",
         [

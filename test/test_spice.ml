@@ -709,155 +709,6 @@ let test_transient_incompatible_guide_ignored () =
   Alcotest.(check int) "a dropped guide is not a cold fallback" 0 r.T.stats.T.cold_fallbacks;
   Alcotest.(check bool) "run still completes" true (Array.length r.T.times > 10)
 
-(* ------------------------------------------------------------------ *)
-(* Batched lockstep transient *)
-
-let test_run_batch_matches_scalar () =
-  let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
-  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
-  let out = Cml_cells.Chain.output chain 2 in
-  let idx = E.node_unknown out.Cml_cells.Builder.p in
-  let probe () = T.observers [ ("out", idx) ] in
-  let scalar_obs = probe () in
-  ignore (T.run ~observers:scalar_obs (E.compile net) net (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
-  let lane_obs = Array.init 3 (fun _ -> probe ()) in
-  let lanes = Array.map (fun obs -> (E.compile net, Some obs)) lane_obs in
-  let results = T.run_batch lanes net cfg in
-  Array.iter
-    (function
-      | T.Lane_done _ -> ()
-      | T.Lane_failed msg -> Alcotest.failf "lane failed: %s" msg
-      | T.Lane_incompatible -> Alcotest.fail "lane incompatible")
-    results;
-  (* identical lanes are bit-identical to each other *)
-  let _, v0 = T.probe_samples lane_obs.(0) "out" in
-  for lane = 1 to 2 do
-    let _, v = T.probe_samples lane_obs.(lane) "out" in
-    Alcotest.(check (array (float 0.0)))
-      (Printf.sprintf "lane %d bit-identical to lane 0" lane)
-      v0 v
-  done;
-  (* and agree with a scalar run at the classification level: same
-     final value (the trajectories themselves share no step grid) *)
-  let _, vs = T.probe_samples scalar_obs "out" in
-  let last a = a.(Array.length a - 1) in
-  Alcotest.(check bool) "final probe value matches scalar run" true
-    (Float.abs (last v0 -. last vs) <= 1e-3)
-
-let test_run_batch_shares_symbolic () =
-  (* K sparse lanes of one design pay for one symbolic analysis: lane
-     0 factors, the others adopt its ordering and patterns through the
-     batch donor path, and the adoption must not change the
-     trajectory *)
-  let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
-  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let opts = { E.default_options with E.solver = E.Sparse_solver } in
-  let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 ~record_every:0 () in
-  let out = Cml_cells.Chain.output chain 2 in
-  let idx = E.node_unknown out.Cml_cells.Builder.p in
-  let probe () = T.observers [ ("out", idx) ] in
-  let scalar_obs = probe () in
-  ignore
-    (T.run ~observers:scalar_obs (E.compile ~options:opts net) net
-       (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
-  let lane_obs = Array.init 3 (fun _ -> probe ()) in
-  let sims = Array.map (fun _ -> E.compile ~options:opts net) lane_obs in
-  let lanes = Array.mapi (fun i obs -> (sims.(i), Some obs)) lane_obs in
-  Array.iter
-    (function
-      | T.Lane_done _ -> ()
-      | T.Lane_failed msg -> Alcotest.failf "lane failed: %s" msg
-      | T.Lane_incompatible -> Alcotest.fail "lane incompatible")
-    (T.run_batch lanes net cfg);
-  let stats i = E.solver_stats sims.(i) in
-  Alcotest.(check bool) "lane 0 did the symbolic analysis" true
-    ((stats 0).E.symbolic_factorizations >= 1);
-  Alcotest.(check int) "lane 0 adopted nothing" 0 (stats 0).E.shared_symbolic;
-  for i = 1 to 2 do
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d adopted the donor's symbolic" i)
-      1 (stats i).E.shared_symbolic;
-    Alcotest.(check int)
-      (Printf.sprintf "lane %d ran no symbolic of its own" i)
-      0 (stats i).E.symbolic_factorizations
-  done;
-  let _, v0 = T.probe_samples lane_obs.(0) "out" in
-  for lane = 1 to 2 do
-    let _, v = T.probe_samples lane_obs.(lane) "out" in
-    Alcotest.(check (array (float 0.0)))
-      (Printf.sprintf "lane %d bit-identical to lane 0" lane)
-      v0 v
-  done;
-  let _, vs = T.probe_samples scalar_obs "out" in
-  let last a = a.(Array.length a - 1) in
-  Alcotest.(check bool) "final probe value matches the per-lane-symbolic run" true
-    (Float.abs (last v0 -. last vs) <= 1e-3)
-
-let test_run_batch_early_retire () =
-  (* three layout-compatible lanes; the middle one carries a diode and
-     an iteration budget too small for its turn-on, so it must retire
-     mid-batch while the others run to tstop *)
-  let mk_lane with_diode =
-    let net = N.create () in
-    let inp = N.node net "in" and out = N.node net "out" in
-    N.vsource net ~name:"V1" ~pos:inp ~neg:N.gnd
-      (W.Pulse
-         { v1 = 0.0; v2 = 1.0; delay = 1e-9; rise = 1e-10; fall = 1e-10; width = 1.0; period = 0.0 });
-    N.resistor net ~name:"R1" inp out 1000.0;
-    N.capacitor net ~name:"C1" out N.gnd 1e-12;
-    if with_diode then N.diode net ~name:"D1" ~anode:out ~cathode:N.gnd ();
-    net
-  in
-  let compile ~max_iter net = E.compile ~options:{ E.default_options with E.max_iter } net in
-  let nets = [| mk_lane false; mk_lane true; mk_lane false |] in
-  let lanes =
-    Array.mapi
-      (fun i net -> ((if i = 1 then compile ~max_iter:1 net else E.compile net), None))
-      nets
-  in
-  let cfg = T.config ~tstop:10e-9 ~max_step:2e-10 ~min_step:1e-11 ~lte_control:false ~record_every:0 () in
-  let results = T.run_batch lanes nets.(0) cfg in
-  (match results.(1) with
-  | T.Lane_failed _ -> ()
-  | T.Lane_done _ -> Alcotest.fail "starved lane unexpectedly completed"
-  | T.Lane_incompatible -> Alcotest.fail "lane reported incompatible");
-  List.iter
-    (fun lane ->
-      match results.(lane) with
-      | T.Lane_done r ->
-          Alcotest.(check bool)
-            (Printf.sprintf "lane %d ran to tstop" lane)
-            true
-            (r.T.stats.T.accepted_steps > 10)
-      | T.Lane_failed msg -> Alcotest.failf "healthy lane %d failed: %s" lane msg
-      | T.Lane_incompatible -> Alcotest.failf "healthy lane %d incompatible" lane)
-    [ 0; 2 ]
-
-let test_run_batch_incompatible_lane () =
-  (* a lane whose unknown layout differs from lane 0's is reported
-     without being run, and does not disturb the compatible lanes *)
-  let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
-  let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let small = N.create () in
-  let a = N.node small "a" in
-  N.vsource small ~name:"V1" ~pos:a ~neg:N.gnd (W.Dc 1.0);
-  N.resistor small ~name:"R1" a N.gnd 1e3;
-  let cfg = T.config ~tstop:1e-9 ~max_step:10e-12 ~record_every:0 () in
-  let lanes = [| (E.compile net, None); (E.compile small, None); (E.compile net, None) |] in
-  match T.run_batch lanes net cfg with
-  | [| T.Lane_done _; T.Lane_incompatible; T.Lane_done _ |] -> ()
-  | results ->
-      Array.iteri
-        (fun i r ->
-          Printf.printf "lane %d: %s\n" i
-            (match r with
-            | T.Lane_done _ -> "done"
-            | T.Lane_failed m -> "failed " ^ m
-            | T.Lane_incompatible -> "incompatible"))
-        results;
-      Alcotest.fail "unexpected lane outcomes"
-
 let () =
   Alcotest.run "spice"
     [
@@ -900,10 +751,6 @@ let () =
           Alcotest.test_case "guide warm-starts steps" `Slow test_transient_guide_is_used;
           Alcotest.test_case "incompatible guide ignored" `Quick
             test_transient_incompatible_guide_ignored;
-          Alcotest.test_case "batch matches scalar" `Slow test_run_batch_matches_scalar;
-          Alcotest.test_case "batch shares symbolic" `Quick test_run_batch_shares_symbolic;
-          Alcotest.test_case "batch early retire" `Quick test_run_batch_early_retire;
-          Alcotest.test_case "batch incompatible lane" `Quick test_run_batch_incompatible_lane;
         ] );
       ( "observers",
         [
