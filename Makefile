@@ -5,7 +5,7 @@
 DUNE ?= dune
 LINT := $(DUNE) exec --no-build bin/cmldft.exe -- lint
 
-.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke watch-smoke explain-smoke fixtures check perf clean
+.PHONY: all build test fmt lint-examples lint-fixtures plan-smoke report-examples telemetry-overhead diagnose-smoke compile-smoke watch-smoke explain-smoke bench-errors-smoke fixtures check perf clean
 
 all: build
 
@@ -141,6 +141,31 @@ explain-smoke: build
 	  echo "explain-smoke: FAILED time budget (>= 5000 ms)"; exit 1; \
 	fi
 
+# Degenerate .bench input must end in a typed error, never in an
+# uncaught exception: an empty file (nothing to compile) makes
+# `campaign`, `op --bench` and `plan` exit 2, and a flip-flop-only file
+# (nothing to attack) makes `campaign` exit 2.  `op` and `plan` can
+# still work on the flip-flop-only design, so there they only must not
+# crash.  The inputs are written to a temporary directory, not
+# committed.
+bench-errors-smoke: build
+	@dir=$$(mktemp -d); \
+	: > $$dir/empty.bench; \
+	printf 'INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n' > $$dir/dff_only.bench; \
+	fail=0; \
+	for run in "2 campaign $$dir/empty.bench" "2 op --bench $$dir/empty.bench" \
+	    "2 plan $$dir/empty.bench" "2 campaign $$dir/dff_only.bench" \
+	    "any op --bench $$dir/dff_only.bench" "any plan $$dir/dff_only.bench"; do \
+	  set -- $$run; want=$$1; shift; \
+	  $(DUNE) exec --no-build bin/cmldft.exe -- "$$@" > $$dir/out.txt 2>&1; code=$$?; \
+	  if grep -q "internal error" $$dir/out.txt || [ $$code -gt 2 ] \
+	     || { [ $$want = 2 ] && [ $$code -ne 2 ]; }; then \
+	    echo "bench-errors-smoke: FAILED: cmldft $$* exited $$code"; cat $$dir/out.txt; fail=1; \
+	  fi; \
+	done; \
+	rm -rf $$dir; \
+	[ $$fail = 0 ] && echo "bench-errors-smoke: OK"
+
 # Regenerate the committed decks in examples/netlists/ from the cell
 # library (they are kept in git so `lint-examples` needs no codegen).
 fixtures: build
@@ -158,7 +183,7 @@ PERF_JOBS ?= 4
 perf: build
 	$(DUNE) exec bench/main.exe -- perf --jobs $(PERF_JOBS) --json BENCH_spice.json --check
 
-check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke watch-smoke explain-smoke telemetry-overhead
+check: build test fmt lint-examples lint-fixtures plan-smoke report-examples diagnose-smoke compile-smoke watch-smoke explain-smoke bench-errors-smoke telemetry-overhead
 ifeq ($(CHECK_PERF),1)
 	$(MAKE) perf
 endif

@@ -135,7 +135,7 @@ let solver_reuse () =
   let net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let sim = E.compile ~options:{ E.default_options with E.solver = E.Sparse_solver } net in
   ignore (T.run sim net (T.config ~tstop:2e-9 ~max_step:10e-12 ()));
-  (E.unknown_count sim, E.solver_stats sim)
+  (E.unknown_count sim, E.counters sim, E.lu_report sim)
 
 (* Amd-vs-natural comparison on the compiled design's Jacobian: fill
    (nnz of L+U) is deterministic, the factor+solve wall clocks are
@@ -205,7 +205,15 @@ let time_campaign ~jobs defects =
 
 module J = Cml_telemetry.Json
 
-let entry_json ~jobs ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering ~campaign =
+(* the "solver" object's counters: the engine's name table, filtered *)
+let solver_fields = E.counter_fields ~groups:[ E.Factor; E.Newton; E.Load ]
+
+let entry_json ~jobs ~cores ~kernels ~nunk ~stats ~lu ~ordering ~campaign =
+  let nnz, fill, order =
+    match lu with
+    | Some r -> (r.E.lu_nnz_factors, r.E.lu_fill_ratio, r.E.lu_ordering)
+    | None -> (0, 0.0, "")
+  in
   let t1, tn, ndefects, summaries_match = campaign in
   J.Obj
     [
@@ -218,17 +226,15 @@ let entry_json ~jobs ~cores ~kernels ~nunk ~(stats : E.solver_stats) ~ordering ~
              kernels) );
       ( "solver",
         J.Obj
-          [
-            ("chain_unknowns", J.Num (float_of_int nunk));
-            ("symbolic_factorizations", J.Num (float_of_int stats.E.symbolic_factorizations));
-            ("numeric_refactorizations", J.Num (float_of_int stats.E.numeric_refactorizations));
-            ("newton_iters", J.Num (float_of_int stats.E.newton_iters));
-            ("device_loads", J.Num (float_of_int stats.E.device_loads));
-            ("bypassed_loads", J.Num (float_of_int stats.E.bypassed_loads));
-            ("lu_nnz_factors", J.Num (float_of_int stats.E.lu_nnz_factors));
-            ("lu_fill_ratio", J.Num stats.E.lu_fill_ratio);
-            ("lu_ordering", J.Str stats.E.lu_ordering);
-          ] );
+          ((("chain_unknowns", J.Num (float_of_int nunk))
+           :: List.map
+                (fun (k, v) -> (k, J.Num v))
+                (solver_fields stats))
+          @ [
+              ("lu_nnz_factors", J.Num (float_of_int nnz));
+              ("lu_fill_ratio", J.Num fill);
+              ("lu_ordering", J.Str order);
+            ]) );
       ( "ordering",
         J.Obj
           [
@@ -383,16 +389,11 @@ let run ?json ?(check = false) () =
   Util.section "perf" "Bechamel micro-benchmarks of the simulation kernels";
   let kernels = kernel_estimates_best ~passes:3 in
   List.iter (fun (name, est) -> Printf.printf "  %-42s %12.1f ns/run\n" name est) kernels;
-  let nunk, stats = solver_reuse () in
+  let nunk, stats, lu = solver_reuse () in
   Printf.printf "\nsolver reuse over a chain transient (%d unknowns):\n" nunk;
-  Printf.printf "  symbolic factorizations   %6d\n" stats.E.symbolic_factorizations;
-  Printf.printf "  numeric refactorizations  %6d\n" stats.E.numeric_refactorizations;
-  Printf.printf "  newton iterations         %6d\n" stats.E.newton_iters;
-  Printf.printf "  device loads              %6d\n" stats.E.device_loads;
-  Printf.printf "  bypassed loads            %6d  (%.0f%%)\n" stats.E.bypassed_loads
-    (if stats.E.device_loads > 0 then
-       100.0 *. float_of_int stats.E.bypassed_loads /. float_of_int stats.E.device_loads
-     else 0.0);
+  List.iter (fun (k, v) -> Printf.printf "  %-26s %8.0f\n" k v) (solver_fields stats);
+  Printf.printf "  bypass ratio               %7.0f%%\n"
+    (100.0 *. float_of_int (E.bypassed_loads stats) /. float_of_int (max 1 (E.device_loads stats)));
   Util.verdict
     (stats.E.numeric_refactorizations > 10 * max 1 stats.E.symbolic_factorizations)
     "symbolic analysis is amortised across Newton iterations";
@@ -444,7 +445,7 @@ let run ?json ?(check = false) () =
     | Some path ->
         let history = load_history path in
         let entry =
-          entry_json ~jobs ~cores ~kernels ~nunk ~stats ~ordering:ord
+          entry_json ~jobs ~cores ~kernels ~nunk ~stats ~lu ~ordering:ord
             ~campaign:(t1, tn, List.length defects, summaries_match)
         in
         write_history path (history @ [ entry ]);
@@ -620,8 +621,8 @@ let chain_transient_min ~passes =
     let dt = Int64.to_float (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
     if dt < !best then begin
       best := dt;
-      iters := (E.solver_stats sim).E.newton_iters;
-      accepted := r.T.stats.T.accepted_steps
+      iters := r.T.stats.E.newton_iters;
+      accepted := r.T.stats.E.accepted_steps
     end
   done;
   (!best, !iters, !accepted)

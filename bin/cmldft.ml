@@ -72,6 +72,21 @@ let resolve_probes net names =
           exit 2)
     names
 
+(* Run [f], which reads and compiles the .bench file [path]: a missing,
+   unparsable or degenerate file ends the command with exit 2. *)
+let with_bench ~cmd ~path f =
+  match f () with
+  | r -> r
+  | exception Cml_logic.Bench_format.Parse_error { line; message } ->
+      Printf.eprintf "cmldft %s: bench parse error at line %d: %s\n" cmd line message;
+      exit 2
+  | exception Sys_error msg ->
+      Printf.eprintf "cmldft %s: %s\n" cmd msg;
+      exit 2
+  | exception Cml_cells.Compile.Degenerate reason ->
+      Printf.eprintf "cmldft %s: %s: %s\n" cmd path reason;
+      exit 2
+
 (* telemetry flags, shared by the simulation commands *)
 
 let trace_arg =
@@ -433,16 +448,9 @@ let campaign_cmd =
       | None ->
           let dut = Option.value ~default:"x3" dut in
           chain_campaign ~freq ~dut ~no_warm_start ~max_iter ~manifest
-      | Some path -> (
-          match bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest with
-          | c -> c
-          | exception Cml_logic.Bench_format.Parse_error { line; message } ->
-              Printf.eprintf "cmldft campaign: bench parse error at line %d: %s\n" line
-                message;
-              exit 2
-          | exception Sys_error msg ->
-              Printf.eprintf "cmldft campaign: %s\n" msg;
-              exit 2)
+      | Some path ->
+          with_bench ~cmd:"campaign" ~path (fun () ->
+              bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest)
     in
     print_entries c;
     print_utilization ~wall_s:c.Cml_defects.Campaign.wall_s c.Cml_defects.Campaign.utilization;
@@ -510,8 +518,8 @@ let diagnose_cmd =
           in
           (Dft.Diagnose.run ~freq ~stages ~dut ~defect (),
            Cml_cells.Chain.stage_name dut ^ ".p")
-      | Some path -> (
-          match
+      | Some path ->
+          with_bench ~cmd:"diagnose" ~path (fun () ->
             let circuit = Cml_logic.Bench_format.read_file ~path in
             let design = Cml_cells.Compile.compile ~freq circuit in
             let cell =
@@ -545,16 +553,7 @@ let diagnose_cmd =
                     "cmldft diagnose: cell %S has no pipe site (free complement?)\n" cell;
                   exit 2
             in
-            (Dft.Diagnose.run_design ~design ~dut:cell ~defect (), cell ^ ".p")
-          with
-          | r -> r
-          | exception Cml_logic.Bench_format.Parse_error { line; message } ->
-              Printf.eprintf "cmldft diagnose: bench parse error at line %d: %s\n" line
-                message;
-              exit 2
-          | exception Sys_error msg ->
-              Printf.eprintf "cmldft diagnose: %s\n" msg;
-              exit 2)
+            (Dft.Diagnose.run_design ~design ~dut:cell ~defect (), cell ^ ".p"))
     in
     print_string (Dft.Diagnose.render_text d);
     if plot then begin
@@ -733,27 +732,23 @@ let op_cmd =
     with_telemetry ~events ~trace:None ~metrics:None @@ fun () ->
     with_run_events ~kind:"op" @@ fun () ->
     match bench with
-    | Some path -> (
-        match Cml_logic.Bench_format.read_file ~path with
-        | exception Cml_logic.Bench_format.Parse_error { line; message } ->
-            Printf.eprintf "cmldft op: bench parse error at line %d: %s\n" line message;
-            exit 2
-        | exception Sys_error msg ->
-            Printf.eprintf "cmldft op: %s\n" msg;
-            exit 2
-        | circuit ->
+    | Some path ->
+        with_bench ~cmd:"op" ~path (fun () ->
+            let circuit = Cml_logic.Bench_format.read_file ~path in
             let design = Cml_cells.Compile.compile circuit in
             let cells, devices = Cml_cells.Compile.stats design in
             let sim = E.compile (Cml_cells.Compile.netlist design) in
             let x = E.dc_operating_point sim in
-            let s = E.solver_stats sim in
             Printf.printf "compiled %s: %d cells, %d devices, %d unknowns\n" path cells
               devices (E.unknown_count sim);
+            let ordering, nnz, fill =
+              match E.lu_report sim with
+              | Some r -> (r.E.lu_ordering, r.E.lu_nnz_factors, r.E.lu_fill_ratio)
+              | None -> ("dense", 0, 0.0)
+            in
             Printf.printf
               "solver: %d Newton iters, ordering %s, nnz(L+U) %d, fill ratio %.2f\n"
-              s.E.newton_iters
-              (if s.E.lu_ordering = "" then "dense" else s.E.lu_ordering)
-              s.E.lu_nnz_factors s.E.lu_fill_ratio;
+              (E.counters sim).E.newton_iters ordering nnz fill;
             Printf.printf "%-12s %10s %10s\n" "output" "true" "complement";
             List.iter
               (fun (nm, d) ->
@@ -1009,20 +1004,21 @@ let plan_cmd =
         end
         else (limit, None)
       in
-      match
+      let circuit, cells, realize =
         match target with
         | `File path ->
-            let circuit, cells = bench_sites path in
-            (* realize on the compiled CML design: the compiler names
-               cells by the same output-name-or-"n<id>" contract
-               [bench_sites] uses, so the optimizer's groups resolve
-               directly *)
-            let realize groups =
-              let design = Cml_cells.Compile.compile circuit in
-              let b = design.Cml_cells.Compile.builder in
-              (Dft.Insertion.instrument_groups ~groups b, b)
-            in
-            (circuit, cells, Some realize)
+            with_bench ~cmd:"plan" ~path (fun () ->
+                let circuit, cells = bench_sites path in
+                (* realize on the compiled CML design: the compiler names
+                   cells by the same output-name-or-"n<id>" contract
+                   [bench_sites] uses, so the optimizer's groups resolve
+                   directly *)
+                let design = Cml_cells.Compile.compile circuit in
+                let realize groups =
+                  let b = design.Cml_cells.Compile.builder in
+                  (Dft.Insertion.instrument_groups ~groups b, b)
+                in
+                (circuit, cells, realize))
         | `Scenario `Chain ->
             let circuit, cells = P.chain_twin ~stages in
             let realize groups =
@@ -1030,61 +1026,49 @@ let plan_cmd =
               let b = chain.Cml_cells.Chain.builder in
               (Dft.Insertion.instrument_groups ~groups b, b)
             in
-            (circuit, cells, Some realize)
+            (circuit, cells, realize)
         | `Scenario `Adder ->
             let circuit, cells = P.adder_twin ~bits in
             let realize groups =
               let b = build_adder bits in
               (Dft.Insertion.instrument_groups ~groups b, b)
             in
-            (circuit, cells, Some realize)
-      with
-      | exception Cml_logic.Bench_format.Parse_error { line; message } ->
-          Printf.eprintf "cmldft plan: bench parse error at line %d: %s\n" line message;
-          2
-      | exception Sys_error msg ->
-          Printf.eprintf "cmldft plan: %s\n" msg;
-          2
-      | circuit, cells, realize ->
-          let plan =
-            P.optimize ~nominal_limit:limit ~limit:effective (P.sites ~circuit ~cells)
-          in
-          let diags =
-            P.check plan
-            @
-            match realize with
-            | None -> []
-            | Some f ->
-                let iplan, b = f (P.to_groups plan) in
-                Dft.Audit.check ~max_safe_share:effective iplan b
-          in
-          let diags = A.Diagnostic.sort diags in
-          if json = Some "-" then
-            print_string (Cml_telemetry.Json.to_string (P.to_json plan))
-          else begin
-            (match derated with
-            | None -> ()
-            | Some r ->
-                Printf.printf "derated limit: %d -> %d (%d MC samples, %.1f%% confidence)\n"
-                  limit r.Dft.Derate.effective r.Dft.Derate.samples
-                  (100.0 *. r.Dft.Derate.model.Dft.Derate.confidence));
-            print_string (P.render_text plan);
-            if diags <> [] then print_string (A.Diagnostic.render_text diags)
-          end;
-          (match json with
-          | None | Some "-" -> ()
-          | Some path ->
-              P.write_json ~path plan;
-              Printf.printf "wrote %s\n" path);
-          let over_budget =
-            match budget with
-            | Some b when plan.P.area_overhead > b ->
-                Printf.printf "area overhead %.1f%% exceeds the budget %.1f%%\n"
-                  (100.0 *. plan.P.area_overhead) (100.0 *. b);
-                true
-            | _ -> false
-          in
-          if over_budget || A.Lint.fails ~fail_on:A.Diagnostic.Error diags then 1 else 0
+            (circuit, cells, realize)
+      in
+      let plan =
+        P.optimize ~nominal_limit:limit ~limit:effective (P.sites ~circuit ~cells)
+      in
+      let diags =
+        let iplan, b = realize (P.to_groups plan) in
+        P.check plan @ Dft.Audit.check ~max_safe_share:effective iplan b
+      in
+      let diags = A.Diagnostic.sort diags in
+      if json = Some "-" then
+        print_string (Cml_telemetry.Json.to_string (P.to_json plan))
+      else begin
+        (match derated with
+        | None -> ()
+        | Some r ->
+            Printf.printf "derated limit: %d -> %d (%d MC samples, %.1f%% confidence)\n"
+              limit r.Dft.Derate.effective r.Dft.Derate.samples
+              (100.0 *. r.Dft.Derate.model.Dft.Derate.confidence));
+        print_string (P.render_text plan);
+        if diags <> [] then print_string (A.Diagnostic.render_text diags)
+      end;
+      (match json with
+      | None | Some "-" -> ()
+      | Some path ->
+          P.write_json ~path plan;
+          Printf.printf "wrote %s\n" path);
+      let over_budget =
+        match budget with
+        | Some b when plan.P.area_overhead > b ->
+            Printf.printf "area overhead %.1f%% exceeds the budget %.1f%%\n"
+              (100.0 *. plan.P.area_overhead) (100.0 *. b);
+            true
+        | _ -> false
+      in
+      if over_budget || A.Lint.fails ~fail_on:A.Diagnostic.Error diags then 1 else 0
   in
   let run file scenario stages bits limit derate samples seed budget json jobs trace metrics
       events =

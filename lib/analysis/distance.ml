@@ -158,7 +158,9 @@ let check ?(config = default_config) (c : C.t) =
           "deepest input-to-output path is %d levels (output %s); deepest \
            flip-flop-to-flip-flop segment is %s"
           d name
-          (if m.ff_to_ff < 0 then "absent (no flip-flops)" else string_of_int m.ff_to_ff)
+          (if m.ff_to_ff >= 0 then string_of_int m.ff_to_ff
+           else if Array.length c.C.dffs = 0 then "absent (no flip-flops)"
+           else "absent (no flip-flop feeds another)")
         :: !out
   | None -> ());
   List.rev !out

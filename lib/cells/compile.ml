@@ -3,6 +3,8 @@ module N = Cml_spice.Netlist
 
 type stimulus = Toggle | Const of bool
 
+exception Degenerate of string
+
 type t = {
   circuit : C.t;
   builder : Builder.t;
@@ -137,7 +139,7 @@ let compile ?(proc = Process.default) ?(freq = 100e6) ?stimuli (c : C.t) =
     | None -> (
         match c.inputs with
         | (name, id) :: _ -> (name, nets.(id))
-        | [] -> invalid_arg "Compile.compile: circuit has no inputs")
+        | [] -> raise (Degenerate "circuit has no inputs"))
   in
   {
     circuit = c;
@@ -196,7 +198,7 @@ let default_dut t =
   | None -> (
       match pick is_cell with
       | Some id -> t.names.(id)
-      | None -> invalid_arg "Compile.default_dut: circuit has no gates")
+      | None -> raise (Degenerate "circuit has no gates to attack"))
 
 let default_output t =
   match List.rev t.outputs with

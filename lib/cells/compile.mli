@@ -16,6 +16,10 @@
     proportionally larger tail currents into proportionally smaller
     load resistors ({!drive_of_fanout}), preserving the swing. *)
 
+exception Degenerate of string
+(** A circuit with nothing to compile or attack; the payload says why
+    (["circuit has no inputs"], ["circuit has no gates to attack"]). *)
+
 type stimulus =
   | Toggle  (** complementary square wave at the compile frequency *)
   | Const of bool  (** static differential level *)
@@ -41,7 +45,7 @@ val compile :
     input name (unlisted inputs default to [Const false]); the
     default drive toggles the first input and holds input [k] at
     [k land 1].
-    @raise Invalid_argument if the circuit has no inputs. *)
+    @raise Degenerate if the circuit has no inputs. *)
 
 val netlist : t -> Cml_spice.Netlist.t
 
@@ -55,7 +59,9 @@ val physical : t -> string -> bool
 
 val default_dut : t -> string
 (** First gate in topological order that owns devices — the default
-    defect-injection target. *)
+    defect-injection target.
+    @raise Degenerate if the circuit has no gate (only inputs and
+    flip-flops). *)
 
 val default_output : t -> string
 (** Last declared primary output (the deepest measurement point by

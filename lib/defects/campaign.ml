@@ -247,17 +247,7 @@ let variant_of_entry entry ~seconds ~stats =
   let solver =
     match stats with
     | None -> []
-    | Some (s : T.stats) ->
-        [
-          ("accepted_steps", float_of_int s.T.accepted_steps);
-          ("rejected_steps", float_of_int s.T.rejected_steps);
-          ("lte_rejections", float_of_int s.T.lte_rejections);
-          ("newton_iters", float_of_int s.T.newton_iters);
-          ("device_loads", float_of_int s.T.device_loads);
-          ("bypassed_loads", float_of_int s.T.bypassed_loads);
-          ("guided_seeds", float_of_int s.T.guided_seeds);
-          ("cold_fallbacks", float_of_int s.T.cold_fallbacks);
-        ]
+    | Some s -> E.counter_fields ~groups:[ E.Step; E.Newton; E.Load ] s
   in
   {
     Cml_telemetry.Manifest.v_name = Defect.describe entry.defect;
@@ -299,7 +289,7 @@ let event_variant ~idx entry ~seconds ~stats =
       (match entry.outcome with Failed _ -> [ "failed" ] | Measured (_, fl) -> flag_labels fl);
     ev_healing = healing_label entry;
     ev_failed = (match entry.outcome with Failed _ -> true | Measured _ -> false);
-    ev_steps = (match stats with Some (s : T.stats) -> s.T.accepted_steps | None -> 0);
+    ev_steps = (match stats with Some s -> s.E.accepted_steps | None -> 0);
     ev_seconds = seconds;
   }
 

@@ -325,41 +325,27 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
         | n -> Some (I.cause_name c, n))
       [ I.cause_accept; I.cause_breakpoint; I.cause_guide; I.cause_lte; I.cause_newton_fail ]
   in
-  let ss = E.solver_stats sim in
+  (* the sim's whole life is this one run, so its cumulative block
+     covers a diverged run too *)
+  let cnt = E.counters sim in
+  let lu_report = E.lu_report sim in
   let newton_failures = I.newton_failures recorder in
   let stats =
-    (match tstats with
-    | None -> []
-    | Some (s : T.stats) ->
-        [
-          ("accepted_steps", float_of_int s.T.accepted_steps);
-          ("rejected_steps", float_of_int s.T.rejected_steps);
-          ("lte_rejections", float_of_int s.T.lte_rejections);
-          ("newton_iters", float_of_int s.T.newton_iters);
-          ("guided_seeds", float_of_int s.T.guided_seeds);
-          ("cold_fallbacks", float_of_int s.T.cold_fallbacks);
-        ])
-    @ [
-        ("newton_failures", float_of_int newton_failures);
-        ("diode_loads", float_of_int ss.E.diode_loads);
-        ("diode_bypassed", float_of_int ss.E.diode_bypassed);
-        ("bjt_loads", float_of_int ss.E.bjt_loads);
-        ("bjt_bypassed", float_of_int ss.E.bjt_bypassed);
-      ]
+    (match tstats with None -> [] | Some s -> E.counter_fields ~groups:[ E.Step; E.Newton ] s)
+    @ [ ("newton_failures", float_of_int newton_failures) ]
+    @ E.counter_fields ~groups:[ E.Per_class ] cnt
   in
-  let fb_small, fb_unstable, fb_pattern = I.lu_fallbacks recorder in
   let lu =
-    if ss.E.lu_nnz_factors = 0 then []
-    else
-      [
-        ("pivot_growth", ss.E.lu_pivot_growth);
-        ("condition_estimate", ss.E.lu_condition);
-        ("fill_nnz", float_of_int ss.E.lu_nnz_factors);
-        ("fill_ratio", ss.E.lu_fill_ratio);
-        ("fallback_small_pivot", float_of_int fb_small);
-        ("fallback_unstable_pivot", float_of_int fb_unstable);
-        ("fallback_pattern_mismatch", float_of_int fb_pattern);
-      ]
+    match lu_report with
+    | None -> []
+    | Some r ->
+        [
+          ("pivot_growth", r.E.lu_pivot_growth);
+          ("condition_estimate", r.E.lu_condition);
+          ("fill_nnz", float_of_int r.E.lu_nnz_factors);
+          ("fill_ratio", r.E.lu_fill_ratio);
+        ]
+        @ E.counter_fields ~groups:[ E.Fallback ] cnt
   in
   (* ---- narrative ---- *)
   let lines = ref [] in
@@ -367,8 +353,8 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
   (match tstats with
   | Some s ->
       add "Re-simulated to completion: %d accepted steps, %d rejected (%d LTE, %d Newton)."
-        s.T.accepted_steps s.T.rejected_steps s.T.lte_rejections
-        (s.T.rejected_steps - s.T.lte_rejections)
+        s.E.accepted_steps s.E.rejected_steps s.E.lte_rejections
+        (s.E.rejected_steps - s.E.lte_rejections)
   | None -> add "Re-simulation diverged — %s." outcome);
   (match lte with
   | l :: _ ->
@@ -390,16 +376,19 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
     add "Newton gave up %d time(s)%s." newton_failures
       (match retries with r :: _ -> Printf.sprintf "; the first failure blamed %s" r.PM.r_net | [] -> "");
   (match tstats with
-  | Some s when s.T.guided_seeds > 0 || s.T.cold_fallbacks > 0 ->
+  | Some s when s.E.guided_seeds > 0 || s.E.cold_fallbacks > 0 ->
       add "The warm-start guide rescued %d solve(s); %d fell back to cold seeding."
-        s.T.guided_seeds s.T.cold_fallbacks
+        s.E.guided_seeds s.E.cold_fallbacks
   | _ -> ());
-  if fb_small + fb_unstable + fb_pattern > 0 then
+  if cnt.E.fallback_small_pivot + cnt.E.fallback_unstable_pivot + cnt.E.fallback_pattern > 0 then
     add "LU stability fallbacks: %d small-pivot, %d unstable-pivot, %d pattern-mismatch."
-      fb_small fb_unstable fb_pattern
-  else if ss.E.lu_nnz_factors > 0 then
-    add "LU stayed stable: pivot growth %.3g, condition estimate %.3g." ss.E.lu_pivot_growth
-      ss.E.lu_condition;
+      cnt.E.fallback_small_pivot cnt.E.fallback_unstable_pivot cnt.E.fallback_pattern
+  else
+    Option.iter
+      (fun r ->
+        add "LU stayed stable: pivot growth %.3g, condition estimate %.3g." r.E.lu_pivot_growth
+          r.E.lu_condition)
+      lu_report;
   {
     PM.pm_variant = variant.M.v_name;
     pm_classes = variant.M.v_classes;

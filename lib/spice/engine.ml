@@ -87,8 +87,6 @@ type sparse_backend = {
       (** factor of the previous solve, kept for numeric-only
           refactorization while the Jacobian pattern and pivot
           stability allow it *)
-  mutable symbolic : int;  (** full factorizations performed *)
-  mutable numeric : int;  (** numeric-only refactorizations *)
   mutable sstamp : int -> int -> float -> unit;
       (** prebuilt stamping closure: appends triplet entries until the
           pattern is compressed, then overwrites values in entry
@@ -99,6 +97,70 @@ type backend =
   | BDense of { m : Cml_numerics.Dense.t; dws : Cml_numerics.Dense.ws;
                 dstamp : int -> int -> float -> unit }
   | BSparse of sparse_backend
+
+(* The per-sim counter block (documented in engine.mli).  Plain
+   mutable ints: every writer is the one domain running the sim. *)
+type counters = {
+  mutable newton_iters : int;
+  mutable diode_loads : int;
+  mutable diode_bypassed : int;
+  mutable bjt_loads : int;
+  mutable bjt_bypassed : int;
+  mutable reused_factorizations : int;
+  mutable skipped_solves : int;
+  mutable symbolic_factorizations : int;
+  mutable numeric_refactorizations : int;
+  mutable fallback_small_pivot : int;
+  mutable fallback_unstable_pivot : int;
+  mutable fallback_pattern : int;
+  mutable accepted_steps : int;
+  mutable rejected_steps : int;
+  mutable lte_rejections : int;
+  mutable guided_seeds : int;
+  mutable cold_fallbacks : int;
+}
+
+let counters_create () =
+  {
+    newton_iters = 0;
+    diode_loads = 0;
+    diode_bypassed = 0;
+    bjt_loads = 0;
+    bjt_bypassed = 0;
+    reused_factorizations = 0;
+    skipped_solves = 0;
+    symbolic_factorizations = 0;
+    numeric_refactorizations = 0;
+    fallback_small_pivot = 0;
+    fallback_unstable_pivot = 0;
+    fallback_pattern = 0;
+    accepted_steps = 0;
+    rejected_steps = 0;
+    lte_rejections = 0;
+    guided_seeds = 0;
+    cold_fallbacks = 0;
+  }
+
+let diff ~since c =
+  {
+    newton_iters = c.newton_iters - since.newton_iters;
+    diode_loads = c.diode_loads - since.diode_loads;
+    diode_bypassed = c.diode_bypassed - since.diode_bypassed;
+    bjt_loads = c.bjt_loads - since.bjt_loads;
+    bjt_bypassed = c.bjt_bypassed - since.bjt_bypassed;
+    reused_factorizations = c.reused_factorizations - since.reused_factorizations;
+    skipped_solves = c.skipped_solves - since.skipped_solves;
+    symbolic_factorizations = c.symbolic_factorizations - since.symbolic_factorizations;
+    numeric_refactorizations = c.numeric_refactorizations - since.numeric_refactorizations;
+    fallback_small_pivot = c.fallback_small_pivot - since.fallback_small_pivot;
+    fallback_unstable_pivot = c.fallback_unstable_pivot - since.fallback_unstable_pivot;
+    fallback_pattern = c.fallback_pattern - since.fallback_pattern;
+    accepted_steps = c.accepted_steps - since.accepted_steps;
+    rejected_steps = c.rejected_steps - since.rejected_steps;
+    lte_rejections = c.lte_rejections - since.lte_rejections;
+    guided_seeds = c.guided_seeds - since.guided_seeds;
+    cold_fallbacks = c.cold_fallbacks - since.cold_fallbacks;
+  }
 
 type sim = {
   opts : options;
@@ -117,16 +179,7 @@ type sim = {
   mutable junction_worst : int;
       (** device index attaining [junction_error], -1 when no junction
           was limited during the last load *)
-  mutable n_newton_iters : int;
-  (* device loads and bypass-cache hits, attributed per device class *)
-  mutable n_diode_loads : int;
-  mutable n_diode_bypassed : int;
-  mutable n_bjt_loads : int;
-  mutable n_bjt_bypassed : int;
-  (* stability fallbacks to a full factorization, by reason *)
-  mutable n_fb_small_pivot : int;
-  mutable n_fb_unstable_pivot : int;
-  mutable n_fb_pattern : int;
+  counters : counters;
   mutable introspect : Introspect.t option;
       (** optional solver-introspection recorder; [None] costs one
           load and one branch per hook (see {!Introspect}) *)
@@ -136,7 +189,7 @@ type sim = {
      the previous one — so the previous factorization can be reused,
      and if time/srcscale/trap also match within one Newton call, the
      whole linear system is identical and the solve can be skipped. *)
-  mutable n_full_evals : int;  (** junction full evaluations in the last load *)
+  mutable rt_full_evals : int;  (** junction full evaluations in the last load *)
   mutable rt_loaded : bool;  (** at least one [load] since compile / invalidation *)
   mutable rt_have_factor : bool;
       (** the backend factor matches the matrix of the last factored load *)
@@ -147,8 +200,6 @@ type sim = {
   mutable rt_time : float;
   mutable rt_srcscale : float;
   mutable rt_trap : bool;
-  mutable n_reused_factors : int;
-  mutable n_skipped_solves : int;
 }
 
 type integ = Dcop | Tran of { geq : float; trap : bool }
@@ -261,8 +312,6 @@ let compile ?(options = default_options) net =
           pat = None;
           count = 0;
           lu = None;
-          symbolic = 0;
-          numeric = 0;
           sstamp = (fun _ _ _ -> ());
         }
       in
@@ -292,16 +341,9 @@ let compile ?(options = default_options) net =
     ws_xnew = Array.make nunk 0.0;
     junction_error = 0.0;
     junction_worst = -1;
-    n_newton_iters = 0;
-    n_diode_loads = 0;
-    n_diode_bypassed = 0;
-    n_bjt_loads = 0;
-    n_bjt_bypassed = 0;
-    n_fb_small_pivot = 0;
-    n_fb_unstable_pivot = 0;
-    n_fb_pattern = 0;
+    counters = counters_create ();
     introspect = None;
-    n_full_evals = 0;
+    rt_full_evals = 0;
     rt_loaded = false;
     rt_have_factor = false;
     rt_matrix_unchanged = false;
@@ -311,8 +353,6 @@ let compile ?(options = default_options) net =
     rt_time = nan;
     rt_srcscale = nan;
     rt_trap = false;
-    n_reused_factors = 0;
-    n_skipped_solves = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -359,11 +399,12 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
   let rhs = sim.rhs in
   Array.fill rhs 0 sim.nunk 0.0;
   let opts = sim.opts in
+  let cnt = sim.counters in
   let gmin = opts.gmin in
   let nvt = Models.boltzmann_vt in
   sim.junction_error <- 0.0;
   sim.junction_worst <- -1;
-  sim.n_full_evals <- 0;
+  sim.rt_full_evals <- 0;
   (* gshunt diagonal for every node unknown: also guarantees a
      structurally non-empty diagonal for the sparse pattern *)
   for i = 0 to sim.nv - 1 do
@@ -385,16 +426,16 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
         inject rhs i irhs;
         inject rhs j (-.irhs)
     | SDiode { a; k; m; js; dc } ->
-        sim.n_diode_loads <- sim.n_diode_loads + 1;
+        cnt.diode_loads <- cnt.diode_loads + 1;
         let vnew = vof x a -. vof x k in
         if bypass && dc.d_valid && bypass_close opts vnew dc.d_v then begin
-          sim.n_diode_bypassed <- sim.n_diode_bypassed + 1;
+          cnt.diode_bypassed <- cnt.diode_bypassed + 1;
           stamp_conductance stamp a k dc.d_g;
           inject rhs a dc.d_ieq;
           inject rhs k (-.dc.d_ieq)
         end
         else begin
-          sim.n_full_evals <- sim.n_full_evals + 1;
+          sim.rt_full_evals <- sim.rt_full_evals + 1;
           let n_nvt = m.Models.d_n *. nvt in
           let vlim =
             Models.pnjlim ~vnew ~vold:js.v_last ~nvt:n_nvt
@@ -418,7 +459,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           dc.d_ieq <- ieq
         end
     | SBjt { c; b; e; m; jbe; jbc; bc; name = _ } ->
-        sim.n_bjt_loads <- sim.n_bjt_loads + 1;
+        cnt.bjt_loads <- cnt.bjt_loads + 1;
         let vbe_new = vof x b -. vof x e in
         let vbc_new = vof x b -. vof x c in
         if
@@ -426,7 +467,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           && bypass_close opts vbe_new bc.b_vbe
           && bypass_close opts vbc_new bc.b_vbc
         then begin
-          sim.n_bjt_bypassed <- sim.n_bjt_bypassed + 1;
+          cnt.bjt_bypassed <- cnt.bjt_bypassed + 1;
           stamp c b bc.g_cb;
           stamp c c bc.g_cc;
           stamp c e bc.g_ce;
@@ -441,7 +482,7 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           inject rhs e bc.i_e
         end
         else begin
-          sim.n_full_evals <- sim.n_full_evals + 1;
+          sim.rt_full_evals <- sim.rt_full_evals + 1;
           let vcrit = Models.vcrit ~is:m.Models.q_is ~nvt in
           let vbe =
             let v = Models.pnjlim ~vnew:vbe_new ~vold:jbe.v_last ~nvt ~vcrit in
@@ -564,7 +605,7 @@ let load sim ~x ~time ~integ ~srcscale ~gshunt =
      linear stamps, the integration coefficient (geq * C for caps; 0.0
      encodes DC and a transient geq is always positive), gshunt and
      the junction stamps — so when every junction device replayed its
-     cache ([n_full_evals] = 0) and geq/gshunt match the previous
+     cache ([rt_full_evals] = 0) and geq/gshunt match the previous
      load, the assembled matrix is bit-identical to the previous one.
      The RHS additionally depends on time, srcscale, trap and the
      capacitor companion states; the latter only change between Newton
@@ -572,7 +613,7 @@ let load sim ~x ~time ~integ ~srcscale ~gshunt =
      iterations of one call. *)
   let geq, trap = match integ with Dcop -> (0.0, false) | Tran { geq; trap } -> (geq, trap) in
   let matrix_unchanged =
-    sim.rt_loaded && sim.n_full_evals = 0 && geq = sim.rt_geq && gshunt = sim.rt_gshunt
+    sim.rt_loaded && sim.rt_full_evals = 0 && geq = sim.rt_geq && gshunt = sim.rt_gshunt
   in
   sim.rt_matrix_unchanged <- matrix_unchanged;
   sim.rt_system_identical <-
@@ -586,10 +627,11 @@ let load sim ~x ~time ~integ ~srcscale ~gshunt =
 
 let solve_linear_into sim out =
   let reuse = sim.rt_matrix_unchanged && sim.rt_have_factor in
+  let cnt = sim.counters in
   match sim.backend with
   | BDense { m; dws; _ } ->
       if reuse then begin
-        sim.n_reused_factors <- sim.n_reused_factors + 1;
+        cnt.reused_factorizations <- cnt.reused_factorizations + 1;
         Cml_numerics.Dense.resolve_ws dws sim.rhs out
       end
       else begin
@@ -601,7 +643,7 @@ let solve_linear_into sim out =
   | BSparse ({ pat = Some pat; _ } as sp) -> begin
       match sp.lu with
       | Some f when reuse ->
-          sim.n_reused_factors <- sim.n_reused_factors + 1;
+          cnt.reused_factorizations <- cnt.reused_factorizations + 1;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
       | _ ->
           sim.rt_have_factor <- false;
@@ -614,30 +656,24 @@ let solve_linear_into sim out =
           let f =
             match sp.lu with
             | Some f when Cml_numerics.Sparse_lu.refactorize f a ->
-                sp.numeric <- sp.numeric + 1;
+                cnt.numeric_refactorizations <- cnt.numeric_refactorizations + 1;
                 f
             | prev ->
                 (* a refactorize that bailed forces a full factorization;
                    attribute the fallback to its recorded reason *)
                 (match prev with
                 | None -> ()
-                | Some f ->
-                    let reason =
-                      match Cml_numerics.Sparse_lu.last_refactor_failure f with
-                      | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
-                          sim.n_fb_small_pivot <- sim.n_fb_small_pivot + 1;
-                          Introspect.lu_small_pivot
-                      | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
-                          sim.n_fb_unstable_pivot <- sim.n_fb_unstable_pivot + 1;
-                          Introspect.lu_unstable_pivot
-                      | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
-                          sim.n_fb_pattern <- sim.n_fb_pattern + 1;
-                          Introspect.lu_pattern
-                    in
-                    Introspect.note_lu_fallback sim.introspect ~reason);
+                | Some f -> (
+                    match Cml_numerics.Sparse_lu.last_refactor_failure f with
+                    | Some (Cml_numerics.Sparse_lu.Small_pivot _) ->
+                        cnt.fallback_small_pivot <- cnt.fallback_small_pivot + 1
+                    | Some (Cml_numerics.Sparse_lu.Unstable_pivot _) ->
+                        cnt.fallback_unstable_pivot <- cnt.fallback_unstable_pivot + 1
+                    | Some Cml_numerics.Sparse_lu.Mismatched_pattern | None ->
+                        cnt.fallback_pattern <- cnt.fallback_pattern + 1));
                 let f = Cml_numerics.Sparse_lu.factorize a in
                 sp.lu <- Some f;
-                sp.symbolic <- sp.symbolic + 1;
+                cnt.symbolic_factorizations <- cnt.symbolic_factorizations + 1;
                 f
           in
           sim.rt_have_factor <- true;
@@ -645,21 +681,65 @@ let solve_linear_into sim out =
     end
   | BSparse { pat = None; _ } -> assert false
 
-type solver_stats = {
-  symbolic_factorizations : int;
-  numeric_refactorizations : int;
-  newton_iters : int;
-  device_loads : int;
-  bypassed_loads : int;
-  diode_loads : int;
-  diode_bypassed : int;
-  bjt_loads : int;
-  bjt_bypassed : int;
-  reused_factorizations : int;
-  skipped_solves : int;
-  fallback_small_pivot : int;
-  fallback_unstable_pivot : int;
-  fallback_pattern : int;
+let counters sim = sim.counters
+
+(* a field-for-field copy of the live block *)
+let snapshot sim = { sim.counters with newton_iters = sim.counters.newton_iters }
+
+let device_loads c = c.diode_loads + c.bjt_loads
+
+let bypassed_loads c = c.diode_bypassed + c.bjt_bypassed
+
+type counter_group = Step | Newton | Load | Per_class | Reuse | Factor | Fallback
+
+type counter_entry = {
+  key : string;
+  metric : string;
+  group : counter_group;
+  get : counters -> int;
+}
+
+(* The one name table.  Its order is the order every reader emits:
+   campaign manifests (Step, Newton, Load), post-mortems (Step,
+   Newton; Per_class; Fallback) and the perf history (Factor, Newton,
+   Load). *)
+let counter_table =
+  let e key metric group get = { key; metric; group; get } in
+  [
+    e "symbolic_factorizations" "solver.symbolic_factorizations" Factor (fun c ->
+        c.symbolic_factorizations);
+    e "numeric_refactorizations" "solver.numeric_refactorizations" Factor (fun c ->
+        c.numeric_refactorizations);
+    e "accepted_steps" "transient.accepted_steps" Step (fun c -> c.accepted_steps);
+    e "rejected_steps" "transient.rejected_steps" Step (fun c -> c.rejected_steps);
+    e "lte_rejections" "transient.lte_rejections" Step (fun c -> c.lte_rejections);
+    e "newton_iters" "solver.newton_iters" Newton (fun c -> c.newton_iters);
+    e "device_loads" "engine.device_loads" Load device_loads;
+    e "bypassed_loads" "engine.bypassed_loads" Load bypassed_loads;
+    e "guided_seeds" "transient.guided_seeds" Step (fun c -> c.guided_seeds);
+    e "cold_fallbacks" "transient.cold_fallbacks" Step (fun c -> c.cold_fallbacks);
+    e "diode_loads" "engine.diode_loads" Per_class (fun c -> c.diode_loads);
+    e "diode_bypassed" "engine.diode_bypassed" Per_class (fun c -> c.diode_bypassed);
+    e "bjt_loads" "engine.bjt_loads" Per_class (fun c -> c.bjt_loads);
+    e "bjt_bypassed" "engine.bjt_bypassed" Per_class (fun c -> c.bjt_bypassed);
+    e "reused_factorizations" "solver.reused_factorizations" Reuse (fun c ->
+        c.reused_factorizations);
+    e "skipped_solves" "solver.skipped_solves" Reuse (fun c -> c.skipped_solves);
+    e "fallback_small_pivot" "solver.fallback.small_pivot" Fallback (fun c ->
+        c.fallback_small_pivot);
+    e "fallback_unstable_pivot" "solver.fallback.unstable_pivot" Fallback (fun c ->
+        c.fallback_unstable_pivot);
+    (* the key the cml-dft-postmortem/1 documents already carry *)
+    e "fallback_pattern_mismatch" "solver.fallback.pattern" Fallback (fun c ->
+        c.fallback_pattern);
+  ]
+
+let counter_fields ~groups c =
+  List.filter_map
+    (fun e -> if List.mem e.group groups then Some (e.key, float_of_int (e.get c)) else None)
+    counter_table
+
+type lu_report = {
   lu_nnz_factors : int;
   lu_fill_ratio : float;
   lu_ordering : string;
@@ -667,72 +747,22 @@ type solver_stats = {
   lu_condition : float;
 }
 
-let solver_stats sim =
-  let symbolic, numeric, lu, health =
-    match sim.backend with
-    | BDense _ -> (0, 0, None, None)
-    | BSparse { symbolic; numeric; lu; pat; _ } ->
-        (* run-boundary call: the O(nnz) health scan is off the solve
-           path by construction *)
-        let health =
-          match (lu, pat) with
-          | Some f, Some p ->
-              Some (Cml_numerics.Sparse_lu.health f (Cml_numerics.Sparse.csc_of_pattern p))
-          | (Some _ | None), _ -> None
-        in
-        (symbolic, numeric, lu, health)
-  in
-  {
-    symbolic_factorizations = symbolic;
-    numeric_refactorizations = numeric;
-    newton_iters = sim.n_newton_iters;
-    device_loads = sim.n_diode_loads + sim.n_bjt_loads;
-    bypassed_loads = sim.n_diode_bypassed + sim.n_bjt_bypassed;
-    diode_loads = sim.n_diode_loads;
-    diode_bypassed = sim.n_diode_bypassed;
-    bjt_loads = sim.n_bjt_loads;
-    bjt_bypassed = sim.n_bjt_bypassed;
-    reused_factorizations = sim.n_reused_factors;
-    skipped_solves = sim.n_skipped_solves;
-    fallback_small_pivot = sim.n_fb_small_pivot;
-    fallback_unstable_pivot = sim.n_fb_unstable_pivot;
-    fallback_pattern = sim.n_fb_pattern;
-    lu_nnz_factors =
-      (match lu with
-      | Some f ->
-          let nl, nu = Cml_numerics.Sparse_lu.lu_nnz f in
-          nl + nu
-      | None -> 0);
-    lu_fill_ratio = (match lu with Some f -> Cml_numerics.Sparse_lu.fill_ratio f | None -> 0.0);
-    lu_ordering = (match lu with Some f -> Cml_numerics.Sparse_lu.ordering_name f | None -> "");
-    lu_pivot_growth =
-      (match health with Some h -> h.Cml_numerics.Sparse_lu.pivot_growth | None -> 0.0);
-    lu_condition =
-      (match health with Some h -> h.Cml_numerics.Sparse_lu.condition_estimate | None -> 0.0);
-  }
-
-let zero_stats =
-  {
-    symbolic_factorizations = 0;
-    numeric_refactorizations = 0;
-    newton_iters = 0;
-    device_loads = 0;
-    bypassed_loads = 0;
-    diode_loads = 0;
-    diode_bypassed = 0;
-    bjt_loads = 0;
-    bjt_bypassed = 0;
-    reused_factorizations = 0;
-    skipped_solves = 0;
-    fallback_small_pivot = 0;
-    fallback_unstable_pivot = 0;
-    fallback_pattern = 0;
-    lu_nnz_factors = 0;
-    lu_fill_ratio = 0.0;
-    lu_ordering = "";
-    lu_pivot_growth = 0.0;
-    lu_condition = 0.0;
-  }
+(* run-boundary call: the O(nnz) health scan is off the solve path by
+   construction *)
+let lu_report sim =
+  match sim.backend with
+  | BDense _ | BSparse { lu = None; _ } | BSparse { pat = None; _ } -> None
+  | BSparse { lu = Some f; pat = Some p; _ } ->
+      let h = Cml_numerics.Sparse_lu.health f (Cml_numerics.Sparse.csc_of_pattern p) in
+      let nl, nu = Cml_numerics.Sparse_lu.lu_nnz f in
+      Some
+        {
+          lu_nnz_factors = nl + nu;
+          lu_fill_ratio = Cml_numerics.Sparse_lu.fill_ratio f;
+          lu_ordering = Cml_numerics.Sparse_lu.ordering_name f;
+          lu_pivot_growth = h.Cml_numerics.Sparse_lu.pivot_growth;
+          lu_condition = h.Cml_numerics.Sparse_lu.condition_estimate;
+        }
 
 let set_introspect sim r = sim.introspect <- r
 
@@ -750,66 +780,36 @@ let device_label sim di =
     | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ ->
         Printf.sprintf "device[%d]" di
 
-let lu_fill sim =
-  match sim.backend with
-  | BDense _ | BSparse { lu = None; _ } -> None
-  | BSparse { lu = Some f; _ } -> Some (Cml_numerics.Sparse_lu.lu_nnz f)
-
-(* Global metrics-registry handles.  Per-iteration counting stays in
-   the plain mutable [sim] fields above (no atomics on the Newton
-   loop); [publish_metrics] folds a sim's counter deltas into the
-   registry at run boundaries — end of a transient, a sweep, a
-   Monte-Carlo sample. *)
+(* Global metrics-registry handles, one per table entry.  Counting
+   stays in the sim's plain block (no atomics on the Newton loop);
+   [publish_metrics] folds a block's movement into the registry at run
+   boundaries — end of a transient, a sweep, a Monte-Carlo sample. *)
 module M = Cml_telemetry.Metrics
 
-let m_newton_iters = M.counter "solver.newton_iters"
-let m_symbolic = M.counter "solver.symbolic_factorizations"
-let m_numeric = M.counter "solver.numeric_refactorizations"
-let m_device_loads = M.counter "engine.device_loads"
-let m_bypassed = M.counter "engine.bypassed_loads"
-let m_reused = M.counter "solver.reused_factorizations"
-let m_skipped = M.counter "solver.skipped_solves"
+let counter_handles = List.map (fun e -> (e, M.counter e.metric)) counter_table
 let m_lu_fill = M.gauge "solver.lu_fill_nnz"
 let m_lu_fill_ratio = M.gauge "solver.lu_fill_ratio"
-let m_ordering_amd = M.counter "solver.ordering.amd"
-let m_ordering_natural = M.counter "solver.ordering.natural"
-let m_fb_small = M.counter "solver.fallback.small_pivot"
-let m_fb_unstable = M.counter "solver.fallback.unstable_pivot"
-let m_fb_pattern = M.counter "solver.fallback.pattern"
 let m_pivot_growth = M.gauge "solver.lu_pivot_growth"
 let m_condition = M.gauge "solver.lu_condition"
-let m_diode_loads = M.counter "engine.diode_loads"
-let m_diode_bypassed = M.counter "engine.diode_bypassed"
-let m_bjt_loads = M.counter "engine.bjt_loads"
-let m_bjt_bypassed = M.counter "engine.bjt_bypassed"
+let m_ordering_amd = M.counter "solver.ordering.amd"
+let m_ordering_natural = M.counter "solver.ordering.natural"
 
-let publish_metrics ?(since = zero_stats) sim =
-  let now = solver_stats sim in
-  M.add m_newton_iters (now.newton_iters - since.newton_iters);
-  M.add m_symbolic (now.symbolic_factorizations - since.symbolic_factorizations);
-  M.add m_numeric (now.numeric_refactorizations - since.numeric_refactorizations);
-  M.add m_device_loads (now.device_loads - since.device_loads);
-  M.add m_bypassed (now.bypassed_loads - since.bypassed_loads);
-  M.add m_reused (now.reused_factorizations - since.reused_factorizations);
-  M.add m_skipped (now.skipped_solves - since.skipped_solves);
-  M.add m_diode_loads (now.diode_loads - since.diode_loads);
-  M.add m_diode_bypassed (now.diode_bypassed - since.diode_bypassed);
-  M.add m_bjt_loads (now.bjt_loads - since.bjt_loads);
-  M.add m_bjt_bypassed (now.bjt_bypassed - since.bjt_bypassed);
-  M.add m_fb_small (now.fallback_small_pivot - since.fallback_small_pivot);
-  M.add m_fb_unstable (now.fallback_unstable_pivot - since.fallback_unstable_pivot);
-  M.add m_fb_pattern (now.fallback_pattern - since.fallback_pattern);
-  if now.lu_nnz_factors > 0 then begin
-    M.set m_lu_fill (float_of_int now.lu_nnz_factors);
-    M.set m_lu_fill_ratio now.lu_fill_ratio;
-    M.set m_pivot_growth now.lu_pivot_growth;
-    M.set m_condition now.lu_condition;
-    (* count factorizations by the ordering they ended up with, so a
-       metrics snapshot shows which path large designs actually take *)
-    let fresh = now.symbolic_factorizations - since.symbolic_factorizations in
-    if fresh > 0 then
-      M.add (if now.lu_ordering = "amd" then m_ordering_amd else m_ordering_natural) fresh
-  end
+let publish_metrics ?since sim =
+  let moved = match since with None -> sim.counters | Some s -> diff ~since:s sim.counters in
+  List.iter (fun (e, h) -> M.add h (e.get moved)) counter_handles;
+  match lu_report sim with
+  | None -> ()
+  | Some r ->
+      M.set m_lu_fill (float_of_int r.lu_nnz_factors);
+      M.set m_lu_fill_ratio r.lu_fill_ratio;
+      M.set m_pivot_growth r.lu_pivot_growth;
+      M.set m_condition r.lu_condition;
+      (* count factorizations by the ordering they ended up with, so a
+         metrics snapshot shows which path large designs actually take *)
+      if moved.symbolic_factorizations > 0 then
+        M.add
+          (if r.lu_ordering = "amd" then m_ordering_amd else m_ordering_natural)
+          moved.symbolic_factorizations
 
 let converged sim x x' =
   let ok = ref true in
@@ -841,6 +841,7 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
      token API keeps the disabled cost to one atomic load + branch
      with no closure or argument allocation *)
   let tok = Cml_telemetry.Trace.start () in
+  let cnt = sim.counters in
   set_junction_states sim x0;
   let x = sim.ws_x and xn = sim.ws_xnew in
   Array.blit x0 0 x 0 sim.nunk;
@@ -848,7 +849,7 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
     if iter > sim.opts.max_iter then None
     else begin
       load sim ~x ~time ~integ ~srcscale ~gshunt;
-      sim.n_newton_iters <- sim.n_newton_iters + 1;
+      cnt.newton_iters <- cnt.newton_iters + 1;
       (* Identical-system acceptance: for [iter > 0] the previous
          iteration solved the system the previous load assembled, and
          its solution is the current iterate [x].  When this load
@@ -859,7 +860,7 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
          Skip the solve and accept [x] directly; this is bit-exact
          with the unskipped path. *)
       if iter > 0 && sim.rt_system_identical then begin
-        sim.n_skipped_solves <- sim.n_skipped_solves + 1;
+        cnt.skipped_solves <- cnt.skipped_solves + 1;
         Some (Cml_numerics.Vec.copy x, iter)
       end
       else

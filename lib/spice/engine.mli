@@ -103,77 +103,132 @@ val update_capacitor_states : sim -> float array -> h:float -> trap:bool -> unit
 val init_capacitor_states : sim -> float array -> unit
 (** Initialise capacitor memory from a DC solution (zero current). *)
 
-type solver_stats = {
-  symbolic_factorizations : int;
-      (** full sparse LU factorizations (symbolic analysis + numeric),
-          performed once per Jacobian pattern or after a pivot
-          degraded *)
-  numeric_refactorizations : int;
-      (** numeric-only refactorizations reusing the cached symbolic
-          analysis — the cheap per-Newton-iteration path *)
-  newton_iters : int;
-      (** Newton iterations (assemble + linear solve) since
-          {!compile} *)
-  device_loads : int;
-      (** junction-device (diode/BJT) load opportunities across all
-          iterations *)
-  bypassed_loads : int;
-      (** of {!field-device_loads}, how many replayed cached stamps
-          instead of re-evaluating the model *)
-  diode_loads : int;  (** per-class attribution of {!field-device_loads} *)
-  diode_bypassed : int;
-  bjt_loads : int;
-  bjt_bypassed : int;
-  reused_factorizations : int;
+(** {2 Counters}
+
+    Every sim owns one plain mutable counter block.  The assembler,
+    the Newton loop and the sparse backend of this module, and the
+    {!Transient} step controller running on the sim, increment the
+    block of the sim they work on — no atomics, no allocation.  A
+    run's numbers are the {!diff} of two {!snapshot}s, and every
+    reader (the metrics registry, campaign manifests, post-mortems,
+    the perf history) walks {!counter_table} instead of naming
+    fields. *)
+
+type counters = {
+  mutable newton_iters : int;  (** Newton iterations (assemble + linear solve) *)
+  mutable diode_loads : int;  (** diode load opportunities across all iterations *)
+  mutable diode_bypassed : int;
+      (** of [diode_loads], how many replayed cached stamps instead of
+          re-evaluating the model ({!options.bypass}) *)
+  mutable bjt_loads : int;  (** ditto for BJTs (one per emitter) *)
+  mutable bjt_bypassed : int;
+  mutable reused_factorizations : int;
       (** linear solves that reused the previous factorization
           outright because the assembled matrix was bit-identical to
           the previous load's (every junction bypassed, same
           integration coefficient and gshunt) — dense: triangular
           substitution only; sparse: no numeric refactorization *)
-  skipped_solves : int;
+  mutable skipped_solves : int;
       (** Newton iterations accepted without a linear solve because
           the whole system (matrix {e and} RHS) was bit-identical to
           the one the previous iteration just solved — the solution is
           the current iterate, exactly *)
-  fallback_small_pivot : int;
+  mutable symbolic_factorizations : int;
+      (** full sparse LU factorizations (symbolic analysis + numeric),
+          performed once per Jacobian pattern or after a pivot
+          degraded; 0 on the dense backend *)
+  mutable numeric_refactorizations : int;
+      (** numeric-only refactorizations reusing the cached symbolic
+          analysis — the cheap per-Newton-iteration path *)
+  mutable fallback_small_pivot : int;
       (** stability fallbacks to a full factorization because a
           recycled pivot fell below the absolute threshold *)
-  fallback_unstable_pivot : int;
+  mutable fallback_unstable_pivot : int;
       (** ditto, pivot below the stability fraction of its column *)
-  fallback_pattern : int;
+  mutable fallback_pattern : int;
       (** ditto, the cached factor's pattern no longer matched *)
-  lu_nnz_factors : int;
-      (** nnz(L) + nnz(U) of the cached sparse factor; 0 for the dense
-          backend or before the first factorization *)
+  mutable accepted_steps : int;  (** committed transient time steps *)
+  mutable rejected_steps : int;
+      (** transient steps retried after a Newton failure or an LTE
+          rejection *)
+  mutable lte_rejections : int;
+      (** of [rejected_steps], how many were LTE rejections (the
+          Newton solve converged but the predictor band failed) *)
+  mutable guided_seeds : int;
+      (** Newton solves rescued by a transient's [?guide] trajectory:
+          the warm DC start, plus accepted steps whose own-point seed
+          diverged and whose guide-seeded retry converged (0 when no
+          guide was given).  Retries of a rejected instant do not
+          inflate this count. *)
+  mutable cold_fallbacks : int;
+      (** seeds that diverged and triggered the next fallback: steps
+          whose own-point seed failed (a guide-seeded retry follows
+          when a guide is present), plus a guided DC start that fell
+          back to the homotopy ladder *)
+}
+
+val counters : sim -> counters
+(** The sim's live block, cumulative since {!compile}. *)
+
+val snapshot : sim -> counters
+(** A copy of the live block, for a later {!diff}. *)
+
+val diff : since:counters -> counters -> counters
+(** Field-wise [now - since]. *)
+
+val device_loads : counters -> int
+(** Junction-device (diode + BJT) load opportunities. *)
+
+val bypassed_loads : counters -> int
+(** Of {!device_loads}, how many replayed cached stamps. *)
+
+type counter_group =
+  | Step  (** the transient step controller's counters *)
+  | Newton  (** Newton iterations *)
+  | Load  (** the derived all-class {!device_loads} / {!bypassed_loads} *)
+  | Per_class  (** loads and bypasses per device class *)
+  | Reuse  (** reused factorizations and skipped solves *)
+  | Factor  (** symbolic and numeric factorizations *)
+  | Fallback  (** LU stability fallbacks, by reason *)
+
+type counter_entry = {
+  key : string;  (** per-variant key in manifests and post-mortems *)
+  metric : string;  (** metrics-registry counter name *)
+  group : counter_group;
+  get : counters -> int;
+}
+
+val counter_table : counter_entry list
+(** The one name table: every counter, plus the derived all-class
+    loads, in the order readers emit them. *)
+
+val counter_fields : groups:counter_group list -> counters -> (string * float) list
+(** [(key, value)] of the table entries in [groups], in table order. *)
+
+type lu_report = {
+  lu_nnz_factors : int;  (** nnz(L) + nnz(U) of the cached sparse factor *)
   lu_fill_ratio : float;
       (** [lu_nnz_factors] over nnz(A) — 1.0 means the factors stored
           no entries beyond the matrix's own *)
-  lu_ordering : string;
-      (** column ordering of the cached factor (["natural"] or
-          ["amd"]); [""] when there is no sparse factor *)
+  lu_ordering : string;  (** column ordering, ["natural"] or ["amd"] *)
   lu_pivot_growth : float;
-      (** element-growth estimate max|U|/max|A| of the cached factor
-          against the current matrix values
-          ({!Cml_numerics.Sparse_lu.health}); 0 without one *)
-  lu_condition : float;
-      (** cheap condition estimate from the U-diagonal extremes; 0
-          without a sparse factor *)
+      (** element-growth estimate max|U|/max|A| against the current
+          matrix values ({!Cml_numerics.Sparse_lu.health}) *)
+  lu_condition : float;  (** cheap condition estimate from the U-diagonal extremes *)
 }
 
-val solver_stats : sim -> solver_stats
-(** Cumulative counters since {!compile}; the factorization counters
-    are zero for the dense backend. *)
-
-val zero_stats : solver_stats
-(** All-zero record, the [~since] of a fresh sim. *)
+val lu_report : sim -> lu_report option
+(** Health of the cached sparse factor; [None] for the dense backend
+    or before the first factorization.  An O(nnz) scan: call it at run
+    boundaries. *)
 
 val set_introspect : sim -> Introspect.t option -> unit
 (** Attach (or detach) a solver-introspection recorder.  With [None]
     — the default — every introspection hook on the Newton/transient
     hot path costs one load and one branch; with [Some r] the
     recorder captures per-iteration delta norms with worst-unknown
-    and worst-device attribution, LU fallback reasons and (via
-    {!Transient}) LTE blame and the dt timeline.  Attaching a
+    and worst-device attribution and (via {!Transient}) LTE blame
+    and the dt timeline.  Attaching a
     recorder never changes simulation results — bit-identical
     waveforms, qcheck-enforced. *)
 
@@ -185,22 +240,13 @@ val device_label : sim -> int -> string
     or [diode[a-k]] terminals; out-of-range indices render as
     [device[i]]. *)
 
-val lu_fill : sim -> (int * int) option
-(** [(nnz L, nnz U)] of the cached sparse LU factor, [None] for the
-    dense backend or before the first factorization. *)
-
-val publish_metrics : ?since:solver_stats -> sim -> unit
+val publish_metrics : ?since:counters -> sim -> unit
 (** Fold this sim's counter movement since [since] (default: a fresh
-    sim) into the global {!Cml_telemetry.Metrics} registry
-    ([solver.newton_iters], [engine.device_loads],
-    [engine.bypassed_loads], per-class [engine.diode_*] /
-    [engine.bjt_*], [solver.*_refactorizations],
-    [solver.reused_factorizations], [solver.skipped_solves],
-    [solver.fallback.*],
-    [solver.lu_fill_nnz], [solver.lu_fill_ratio],
-    [solver.lu_pivot_growth], [solver.lu_condition],
-    [solver.ordering.*]).  Called at run boundaries, never inside the
-    Newton loop. *)
+    sim) into the global {!Cml_telemetry.Metrics} registry — one
+    counter per {!counter_table} entry — and, with a sparse factor,
+    its {!lu_report} into the [solver.lu_*] gauges and the
+    [solver.ordering.*] counters.  Called at run boundaries, never
+    inside the Newton loop. *)
 
 val ac_system :
   sim -> float array -> (int * int * float) list * (int * int * float) list

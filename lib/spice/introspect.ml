@@ -37,12 +37,6 @@ let cause_name = function
   | 4 -> "newton-reject"
   | _ -> "unknown"
 
-(* LU stability-fallback reason codes (mirror
-   [Sparse_lu.refactor_failure] without depending on its payload) *)
-let lu_small_pivot = 0
-let lu_unstable_pivot = 1
-let lu_pattern = 2
-
 type t = {
   label : string;
   (* one row per Newton iteration that solved a system *)
@@ -66,10 +60,6 @@ type t = {
   dt_t : Fbuf.t;
   dt_h : Fbuf.t;
   dt_cause : Fbuf.t;
-  (* stability fallbacks to full factorization, by reason *)
-  mutable lu_small : int;
-  mutable lu_unstable : int;
-  mutable lu_mismatch : int;
 }
 
 let create ?(label = "") () =
@@ -92,9 +82,6 @@ let create ?(label = "") () =
     dt_t = Fbuf.create ();
     dt_h = Fbuf.create ();
     dt_cause = Fbuf.create ();
-    lu_small = 0;
-    lu_unstable = 0;
-    lu_mismatch = 0;
   }
 
 let label r = r.label
@@ -168,14 +155,6 @@ let note_dt ro ~t ~h ~cause =
       Fbuf.push r.dt_h h;
       Fbuf.push r.dt_cause (float_of_int cause)
 
-let note_lu_fallback ro ~reason =
-  match ro with
-  | None -> ()
-  | Some r ->
-      if reason = lu_small_pivot then r.lu_small <- r.lu_small + 1
-      else if reason = lu_unstable_pivot then r.lu_unstable <- r.lu_unstable + 1
-      else r.lu_mismatch <- r.lu_mismatch + 1
-
 (* ------------------------------------------------------------------ *)
 (* Analysis accessors (post-mortem time; allocation is fine here) *)
 
@@ -236,7 +215,5 @@ let dt_rows r =
         dr_h = Fbuf.get r.dt_h i;
         dr_cause = int_of_float (Fbuf.get r.dt_cause i);
       })
-
-let lu_fallbacks r = (r.lu_small, r.lu_unstable, r.lu_mismatch)
 
 let newton_failures r = Fbuf.length r.nf_time

@@ -4,9 +4,10 @@
     iteration delta norms with worst-unknown and worst-junction-device
     attribution, per-rejection LTE blame (which node forced the step
     down, and the rejection cascade depth), the step-size controller's
-    dt timeline with cause tags, and the reasons for every LU
-    stability fallback.  Each campaign variant owns its sim, so one
-    recorder per sim tags everything per variant.
+    dt timeline with cause tags.  Each campaign variant owns its sim,
+    so one recorder per sim tags everything per variant.  (LU
+    stability fallbacks are plain counters of the sim:
+    {!Engine.counters}.)
 
     Contract (the same as {!Cml_telemetry.Progress.note_step}): every
     [note_*] entry point takes a [t option] and costs one call and one
@@ -40,12 +41,6 @@ val cause_newton_fail : int
 
 val cause_name : int -> string
 
-(** {2 LU fallback reason codes} *)
-
-val lu_small_pivot : int
-val lu_unstable_pivot : int
-val lu_pattern : int
-
 (** {2 Hot-path notes} — one match when the recorder is [None]. *)
 
 val note_newton :
@@ -78,7 +73,6 @@ val note_lte :
     attribution (the accept/reject decision is the caller's). *)
 
 val note_dt : t option -> t:float -> h:float -> cause:int -> unit
-val note_lu_fallback : t option -> reason:int -> unit
 
 (** {2 Analysis accessors} (post-mortem time) *)
 
@@ -110,8 +104,5 @@ val lte_rows : t -> lte_row list
 type dt_row = { dr_t : float; dr_h : float; dr_cause : int }
 
 val dt_rows : t -> dt_row list
-
-val lu_fallbacks : t -> int * int * int
-(** [(small_pivot, unstable_pivot, pattern_mismatch)] counts. *)
 
 val newton_failures : t -> int

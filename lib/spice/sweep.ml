@@ -18,7 +18,7 @@ let vsource_sweep_full ?options ?(warm_start = true) net ~source ~values =
   let sim = Engine.compile ?options net in
   let n = Array.length values in
   let out = Array.make n [||] in
-  let stats0 = Engine.solver_stats sim in
+  let stats0 = Engine.snapshot sim in
   let span = Cml_telemetry.Trace.start () in
   let prev = ref None in
   for i = 0 to n - 1 do

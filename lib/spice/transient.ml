@@ -11,22 +11,11 @@ let config ?max_step ?min_step ?(lte_control = true) ?(record_every = 1) ~tstop 
   let min_step = match min_step with Some h -> h | None -> max_step /. 1e6 in
   { tstop; max_step; min_step; lte_control; record_every }
 
-type stats = {
-  accepted_steps : int;
-  rejected_steps : int;
-  lte_rejections : int;
-  newton_iters : int;
-  device_loads : int;
-  bypassed_loads : int;
-  guided_seeds : int;
-  cold_fallbacks : int;
-}
-
 type result = {
   times : float array;
   data : float array array;
   sim : Engine.sim;
-  stats : stats;
+  stats : Engine.counters;
 }
 
 let collect_breakpoints net ~tstop =
@@ -142,20 +131,10 @@ let probe_list o =
 module M = Cml_telemetry.Metrics
 
 let m_runs = M.counter "transient.runs"
-let m_accepted = M.counter "transient.accepted_steps"
-let m_rejected = M.counter "transient.rejected_steps"
-let m_lte = M.counter "transient.lte_rejections"
-let m_guided = M.counter "transient.guided_seeds"
-let m_cold = M.counter "transient.cold_fallbacks"
 let m_seconds = M.histogram "transient.run_seconds"
 
-let publish_run ~stats0 ~t_begin sim stats span =
+let publish_run ~stats0 ~t_begin sim span =
   M.incr m_runs;
-  M.add m_accepted stats.accepted_steps;
-  M.add m_rejected stats.rejected_steps;
-  M.add m_lte stats.lte_rejections;
-  M.add m_guided stats.guided_seeds;
-  M.add m_cold stats.cold_fallbacks;
   M.observe m_seconds
     (Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t_begin));
   Engine.publish_metrics ~since:stats0 sim;
@@ -183,7 +162,7 @@ type stepper = {
   st_breakpoints : float array;
   st_guide : (float array * float array array) option;
   st_observers : observers option;
-  st_stats0 : Engine.solver_stats;
+  st_stats0 : Engine.counters;  (** snapshot of the sim's block at run start *)
   st_t_begin : int64;
   st_span : int64;  (** Trace.start token *)
   st_times : Cml_numerics.Fbuf.t;
@@ -193,11 +172,6 @@ type stepper = {
           one match when [None] *)
   mutable st_streak : int;  (** consecutive rejections at the current instant *)
   mutable st_nsnap : int;
-  mutable st_accepted : int;
-  mutable st_rejected : int;
-  mutable st_lte : int;
-  mutable st_guided : int;
-  mutable st_cold : int;
   mutable st_x_n : float array;  (** last committed solution *)
   mutable st_x_nm1 : float array;
   st_xpred : float array;
@@ -227,10 +201,10 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
         Some (g.times, g.data)
     | Some _ | None -> None
   in
-  let stats0 = Engine.solver_stats sim in
+  let stats0 = Engine.snapshot sim in
+  let cnt = Engine.counters sim in
   let t_begin = Cml_telemetry.Clock.now_ns () in
   let span = Cml_telemetry.Trace.start () in
-  let guided_seeds = ref 0 and cold_fallbacks = ref 0 in
   let x_start =
     match x0 with
     | Some x -> x
@@ -241,10 +215,10 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
                back to the full homotopy ladder if it diverges *)
             match Engine.newton sim ~time:0.0 ~integ:Engine.Dcop gdata.(0) with
             | Some (x, _) ->
-                incr guided_seeds;
+                cnt.guided_seeds <- cnt.guided_seeds + 1;
                 x
             | None ->
-                incr cold_fallbacks;
+                cnt.cold_fallbacks <- cnt.cold_fallbacks + 1;
                 Engine.dc_operating_point ~time:0.0 sim)
         | None -> Engine.dc_operating_point ~time:0.0 sim)
   in
@@ -266,11 +240,6 @@ let stepper_create ?x0 ?guide ?breakpoints ?observers sim net cfg =
       st_introspect = Engine.introspect sim;
       st_streak = 0;
       st_nsnap = 0;
-      st_accepted = 0;
-      st_rejected = 0;
-      st_lte = 0;
-      st_guided = !guided_seeds;
-      st_cold = !cold_fallbacks;
       st_x_n = x_start;
       st_x_nm1 = x_start;
       st_xpred = Array.make nunk 0.0;
@@ -310,6 +279,7 @@ let stepper_record st t x =
    @raise Engine.No_convergence when a step fails at [min_step]. *)
 let stepper_advance st =
   let cfg = st.st_cfg and sim = st.st_sim in
+  let cnt = Engine.counters sim in
   while st.st_t < cfg.tstop -. (1e-12 *. cfg.tstop) do
     let next_bp =
       if st.st_bp_index < Array.length st.st_breakpoints then
@@ -342,7 +312,7 @@ let stepper_advance st =
       | None -> begin
           match st.st_guide with
           | Some (gtimes, gdata) ->
-              st.st_cold <- st.st_cold + 1;
+              cnt.cold_fallbacks <- cnt.cold_fallbacks + 1;
               let seed = gdata.(nearest_index gtimes t_next) in
               (Engine.newton sim ~time:t_next ~integ seed, true)
           | None -> (None, false)
@@ -361,7 +331,7 @@ let stepper_advance st =
             done;
             if lte_ok st.st_opts xpred x then Some x
             else begin
-              st.st_lte <- st.st_lte + 1;
+              cnt.lte_rejections <- cnt.lte_rejections + 1;
               (* blame scan only; the accept/reject decision above is
                  [lte_ok]'s alone, so recording cannot flip a step *)
               Introspect.note_lte st.st_introspect ~time:t_next ~h:h_step ~xpred ~x
@@ -374,14 +344,14 @@ let stepper_advance st =
     in
     match accepted with
     | Some x ->
-        if attempt_guided then st.st_guided <- st.st_guided + 1;
+        if attempt_guided then cnt.guided_seeds <- cnt.guided_seeds + 1;
         st.st_streak <- 0;
         Engine.update_capacitor_states sim x ~h:h_step ~trap;
         st.st_x_nm1 <- st.st_x_n;
         st.st_x_n <- x;
         st.st_h_prev <- h_step;
         st.st_t <- t_next;
-        st.st_accepted <- st.st_accepted + 1;
+        cnt.accepted_steps <- cnt.accepted_steps + 1;
         (* live-progress hook: one atomic load + branch when no run is
            being observed (gated by `make telemetry-overhead`) *)
         Cml_telemetry.Progress.note_step ();
@@ -402,7 +372,7 @@ let stepper_advance st =
           st.st_h <- Float.min cfg.max_step (st.st_h *. 1.4)
         end
     | None ->
-        st.st_rejected <- st.st_rejected + 1;
+        cnt.rejected_steps <- cnt.rejected_steps + 1;
         st.st_streak <- st.st_streak + 1;
         Introspect.note_dt st.st_introspect ~t:t_next ~h:h_step
           ~cause:
@@ -419,26 +389,12 @@ let stepper_advance st =
   done
 
 let stepper_finish st =
-  let stats1 = Engine.solver_stats st.st_sim in
-  let stats0 = st.st_stats0 in
-  let stats =
-    {
-      accepted_steps = st.st_accepted;
-      rejected_steps = st.st_rejected;
-      lte_rejections = st.st_lte;
-      newton_iters = stats1.Engine.newton_iters - stats0.Engine.newton_iters;
-      device_loads = stats1.Engine.device_loads - stats0.Engine.device_loads;
-      bypassed_loads = stats1.Engine.bypassed_loads - stats0.Engine.bypassed_loads;
-      guided_seeds = st.st_guided;
-      cold_fallbacks = st.st_cold;
-    }
-  in
-  publish_run ~stats0 ~t_begin:st.st_t_begin st.st_sim stats st.st_span;
+  publish_run ~stats0:st.st_stats0 ~t_begin:st.st_t_begin st.st_sim st.st_span;
   {
     times = Cml_numerics.Fbuf.to_array st.st_times;
     data = (match st.st_rec with Some r -> recorder_rows r | None -> [||]);
     sim = st.st_sim;
-    stats;
+    stats = Engine.diff ~since:st.st_stats0 (Engine.counters st.st_sim);
   }
 
 let run ?x0 ?guide ?breakpoints ?observers sim net cfg =

@@ -21,36 +21,14 @@ val config : ?max_step:float -> ?min_step:float -> ?lte_control:bool -> ?record_
     LTE acceptance test come from {!Engine.options}
     ([lte_reltol_factor], [lte_abstol]). *)
 
-type stats = {
-  accepted_steps : int;  (** committed time steps *)
-  rejected_steps : int;
-      (** steps retried after a Newton failure or an LTE rejection *)
-  lte_rejections : int;
-      (** of [rejected_steps], how many were LTE rejections (the
-          Newton solve converged but the predictor band failed) *)
-  newton_iters : int;  (** Newton iterations spent in this run *)
-  device_loads : int;  (** junction-device load opportunities *)
-  bypassed_loads : int;
-      (** of [device_loads], how many replayed cached stamps
-          ({!Engine.options.bypass}) *)
-  guided_seeds : int;
-      (** Newton solves rescued by the [?guide] trajectory: the warm DC
-          start, plus accepted steps whose own-point seed diverged and
-          whose guide-seeded retry converged (0 when no guide was
-          given).  Retries of a rejected instant do not inflate this
-          count. *)
-  cold_fallbacks : int;
-      (** seeds that diverged and triggered the next fallback: steps
-          whose own-point seed failed (a guide-seeded retry follows
-          when a guide is present), plus a guided DC start that fell
-          back to the homotopy ladder *)
-}
-
 type result = {
   times : float array;
   data : float array array;  (** [data.(k)] is the solution vector at [times.(k)] *)
   sim : Engine.sim;
-  stats : stats;
+  stats : Engine.counters;
+      (** this run's movement of the sim's counter block — the
+          step-controller counters plus the Newton, device-load and
+          factorization work, the DC start included *)
 }
 
 type observers

@@ -476,7 +476,24 @@ let test_distance_golden () =
   Alcotest.(check int) "comb depth" 3 m.A.Distance.comb_depth;
   Alcotest.(check int) "no ff segment" (-1) m.A.Distance.ff_to_ff;
   Alcotest.(check (list (pair string int)))
-    "output depths" [ ("f", 3); ("g", 2) ] m.A.Distance.output_depths
+    "output depths" [ ("f", 3); ("g", 2) ] m.A.Distance.output_depths;
+  (* the DIST002 summary names why a flip-flop segment is absent: no
+     flip-flops at all, or flip-flops none of which feeds another *)
+  let summary c =
+    match List.find_opt (fun d -> d.D.rule = A.Rules.dist_summary) (A.Distance.check c) with
+    | Some d -> d.D.message
+    | None -> Alcotest.fail "no DIST002 summary"
+  in
+  let ends_with suffix s =
+    let n = String.length s and k = String.length suffix in
+    n >= k && String.sub s (n - k) k = suffix
+  in
+  Alcotest.(check bool) "combinational: no flip-flops" true
+    (ends_with "absent (no flip-flops)" (summary (golden_circuit ())));
+  let dff_only = Cml_logic.Bench_format.of_string "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n" in
+  Alcotest.(check int) "dff-only: no ff segment" (-1) (A.Distance.compute dff_only).A.Distance.ff_to_ff;
+  Alcotest.(check bool) "dff-only: the flip-flop is acknowledged" true
+    (ends_with "absent (no flip-flop feeds another)" (summary dff_only))
 
 let test_distance_s27 () =
   let m = A.Distance.compute (Cml_logic.Bench_format.s27 ()) in

@@ -376,6 +376,16 @@ let test_compile_physical_and_defaults () =
   Alcotest.(check string) "default dut skips the free NOT" "y" (Cp.default_dut d);
   Alcotest.(check string) "default output is the declared one" "y" (Cp.default_output d)
 
+(* degenerate circuits raise the typed error the CLI maps to exit 2:
+   nothing to compile (no inputs), or nothing to attack (flip-flops
+   only) *)
+let test_compile_degenerate () =
+  Alcotest.check_raises "empty circuit" (Cp.Degenerate "circuit has no inputs") (fun () ->
+      ignore (Cp.compile (L.Bench_format.of_string "")));
+  let dff_only = Cp.compile (L.Bench_format.of_string "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n") in
+  Alcotest.check_raises "flip-flops only" (Cp.Degenerate "circuit has no gates to attack")
+    (fun () -> ignore (Cp.default_dut dff_only))
+
 let test_compile_dc_converges () =
   (* compiled s27 (flip-flops, free NOTs, fanout > 2 nets) reaches a
      DC operating point with every declared output at a legal CML
@@ -454,6 +464,7 @@ let () =
             test_compile_names_match_contract;
           Alcotest.test_case "physical cells and defaults" `Quick
             test_compile_physical_and_defaults;
+          Alcotest.test_case "degenerate circuits" `Quick test_compile_degenerate;
           Alcotest.test_case "s27 DC converges" `Quick test_compile_dc_converges;
         ] );
     ]

@@ -77,7 +77,7 @@ let test_recorder_captures () =
            List.mem row.I.dr_cause [ I.cause_accept; I.cause_breakpoint; I.cause_guide ])
          dt)
   in
-  Alcotest.(check int) "one accepted-cause row per accepted step" res.T.stats.T.accepted_steps
+  Alcotest.(check int) "one accepted-cause row per accepted step" res.T.stats.E.accepted_steps
     accepts;
   List.iter
     (fun (row : I.newton_row) ->

@@ -176,7 +176,7 @@ let test_transient_amortises_symbolic () =
   let options = { E.default_options with E.solver = E.Sparse_solver } in
   let sim = E.compile ~options net in
   ignore (T.run sim net (T.config ~tstop:1e-9 ~max_step:20e-12 ()));
-  let stats = E.solver_stats sim in
+  let stats = E.counters sim in
   Alcotest.(check bool)
     "at least one full factorization" true
     (stats.E.symbolic_factorizations >= 1);

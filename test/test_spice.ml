@@ -520,8 +520,8 @@ let prop_bypass_matches_full_eval =
       let off =
         run_chain_transient ~options:{ E.default_options with E.bypass = false } ~stages ~freq
       in
-      on.T.stats.T.bypassed_loads > 0
-      && off.T.stats.T.bypassed_loads = 0
+      E.bypassed_loads on.T.stats > 0
+      && E.bypassed_loads off.T.stats = 0
       && Array.length on.T.times = Array.length off.T.times
       &&
       let dev = ref 0.0 in
@@ -539,16 +539,16 @@ let test_transient_stats_accounting () =
   let sim = E.compile net in
   let r = T.run sim net (T.config ~tstop:2e-9 ~max_step:10e-12 ()) in
   Alcotest.(check int) "one row per accepted step plus t = 0"
-    (r.T.stats.T.accepted_steps + 1)
+    (r.T.stats.E.accepted_steps + 1)
     (Array.length r.T.times);
-  Alcotest.(check bool) "bypass fired" true (r.T.stats.T.bypassed_loads > 0);
+  Alcotest.(check bool) "bypass fired" true (E.bypassed_loads r.T.stats > 0);
   Alcotest.(check bool) "bypass is a strict subset of loads" true
-    (r.T.stats.T.bypassed_loads < r.T.stats.T.device_loads);
-  Alcotest.(check bool) "newton iterations counted" true (r.T.stats.T.newton_iters > 0);
-  Alcotest.(check int) "no guide means no guided seeds" 0 r.T.stats.T.guided_seeds;
-  Alcotest.(check int) "no guide means no cold fallbacks" 0 r.T.stats.T.cold_fallbacks;
+    (E.bypassed_loads r.T.stats < E.device_loads r.T.stats);
+  Alcotest.(check bool) "newton iterations counted" true (r.T.stats.E.newton_iters > 0);
+  Alcotest.(check int) "no guide means no guided seeds" 0 r.T.stats.E.guided_seeds;
+  Alcotest.(check int) "no guide means no cold fallbacks" 0 r.T.stats.E.cold_fallbacks;
   Alcotest.(check bool) "LTE rejections are a subset of rejections" true
-    (r.T.stats.T.lte_rejections <= r.T.stats.T.rejected_steps)
+    (r.T.stats.E.lte_rejections <= r.T.stats.E.rejected_steps)
 
 let test_transient_guide_is_used () =
   let chain = Cml_cells.Chain.build ~stages:3 ~freq:1e9 () in
@@ -556,15 +556,15 @@ let test_transient_guide_is_used () =
   let cfg = T.config ~tstop:2e-9 ~max_step:10e-12 () in
   let nominal = T.run (E.compile net) net cfg in
   let warm = T.run ~guide:nominal (E.compile net) net cfg in
-  Alcotest.(check bool) "guided seeds used" true (warm.T.stats.T.guided_seeds > 0);
+  Alcotest.(check bool) "guided seeds used" true (warm.T.stats.E.guided_seeds > 0);
   (* guided_seeds counts accepted steps only (plus the warm DC start),
      so a retried (LTE- or Newton-rejected) instant cannot inflate it
      past the step count *)
   Alcotest.(check bool) "guided seeds bounded by accepted steps + DC" true
-    (warm.T.stats.T.guided_seeds <= warm.T.stats.T.accepted_steps + 1);
+    (warm.T.stats.E.guided_seeds <= warm.T.stats.E.accepted_steps + 1);
   Alcotest.(check bool) "cold fallbacks accounted separately" true
-    (warm.T.stats.T.cold_fallbacks >= 0
-    && warm.T.stats.T.cold_fallbacks <= warm.T.stats.T.accepted_steps + 1);
+    (warm.T.stats.E.cold_fallbacks >= 0
+    && warm.T.stats.E.cold_fallbacks <= warm.T.stats.E.accepted_steps + 1);
   Alcotest.(check int) "same grid as the cold run"
     (Array.length nominal.T.times)
     (Array.length warm.T.times);
@@ -598,7 +598,7 @@ let test_observers_match_dense_rows () =
   let r = T.run ~observers:obs sim net (T.config ~tstop:1e-6 ~max_step:2e-8 ()) in
   let times, values = T.probe_samples obs "out" in
   Alcotest.(check int) "one sample per accepted step plus t = 0"
-    (r.T.stats.T.accepted_steps + 1)
+    (r.T.stats.E.accepted_steps + 1)
     (Array.length times);
   (* at record_every = 1 the streamed probe is bit-identical to the
      dense recording *)
@@ -619,7 +619,7 @@ let test_observers_record_every_no_alias () =
   let r = T.run ~observers:obs sim net (T.config ~tstop:1e-6 ~max_step:2e-8 ~record_every:4 ()) in
   (* the observer sees every accepted step even though the dense
      recorder keeps only every 4th row *)
-  Alcotest.(check int) "probe length" (r.T.stats.T.accepted_steps + 1) (T.probe_length obs);
+  Alcotest.(check int) "probe length" (r.T.stats.E.accepted_steps + 1) (T.probe_length obs);
   Alcotest.(check int) "callback per accepted step" (T.probe_length obs) !steps;
   Alcotest.(check bool) "dense recorder thinned" true
     (Array.length r.T.times < T.probe_length obs);
@@ -677,7 +677,7 @@ let prop_observer_parity_with_dense =
         T.run ~observers:obs sim net
           (T.config ~tstop:(4.0 *. tau) ~max_step:(tau /. 50.0) ~record_every:every ())
       in
-      T.probe_length obs = r.T.stats.T.accepted_steps + 1
+      T.probe_length obs = r.T.stats.E.accepted_steps + 1
       && List.for_all
            (fun (nd, name) ->
              let times, values = T.probe_samples obs name in
@@ -705,8 +705,8 @@ let test_transient_incompatible_guide_ignored () =
   let chain = Cml_cells.Chain.build ~stages:2 ~freq:1e9 () in
   let cnet = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
   let r = T.run ~guide:small (E.compile cnet) cnet (T.config ~tstop:1e-9 ~max_step:10e-12 ()) in
-  Alcotest.(check int) "guide silently dropped" 0 r.T.stats.T.guided_seeds;
-  Alcotest.(check int) "a dropped guide is not a cold fallback" 0 r.T.stats.T.cold_fallbacks;
+  Alcotest.(check int) "guide silently dropped" 0 r.T.stats.E.guided_seeds;
+  Alcotest.(check int) "a dropped guide is not a cold fallback" 0 r.T.stats.E.cold_fallbacks;
   Alcotest.(check bool) "run still completes" true (Array.length r.T.times > 10)
 
 let () =

@@ -117,8 +117,10 @@ let test_campaign_merge_determinism () =
 (* ------------------------------------------------------------------ *)
 (* metrics registry: a warm-started transient reports the same
    registry movement as the cold one (same trajectory), with the
-   guided-seed counter only moving on the warm run, and the registry
-   deltas agreeing with the per-run [T.stats]. *)
+   guided-seed counter only moving on the warm run, and for every
+   entry of the engine's name table the registry delta equals the
+   run's counter delta ([T.stats]) — on the dense runs and on a
+   sparse-forced one, whose factorization counters move. *)
 
 let counter_of name snap =
   match List.assoc_opt name snap with Some (Metrics.Counter n) -> n | _ -> 0
@@ -138,16 +140,32 @@ let test_metrics_warm_cold_parity () =
   Alcotest.(check int) "same accepted steps warm vs cold"
     (counter_of "transient.accepted_steps" d_cold)
     (counter_of "transient.accepted_steps" d_warm);
-  Alcotest.(check int) "registry delta matches stats (cold)" cold.T.stats.T.accepted_steps
+  Alcotest.(check int) "registry delta matches stats (cold)" cold.T.stats.E.accepted_steps
     (counter_of "transient.accepted_steps" d_cold);
-  Alcotest.(check int) "registry delta matches stats (warm)" warm.T.stats.T.guided_seeds
+  Alcotest.(check int) "registry delta matches stats (warm)" warm.T.stats.E.guided_seeds
     (counter_of "transient.guided_seeds" d_warm);
   Alcotest.(check int) "cold run has no guided seeds" 0
     (counter_of "transient.guided_seeds" d_cold);
   Alcotest.(check bool) "warm run used the guide" true
     (counter_of "transient.guided_seeds" d_warm > 0);
-  Alcotest.(check int) "newton iters accounted (cold)" cold.T.stats.T.newton_iters
-    (counter_of "solver.newton_iters" d_cold)
+  Alcotest.(check int) "newton iters accounted (cold)" cold.T.stats.E.newton_iters
+    (counter_of "solver.newton_iters" d_cold);
+  let sparse =
+    T.run (E.compile ~options:{ E.default_options with E.solver = E.Sparse_solver } net) net cfg
+  in
+  let d_sparse = Metrics.diff s2 (Metrics.snapshot ()) in
+  Alcotest.(check bool) "sparse run factorizes" true
+    (sparse.T.stats.E.symbolic_factorizations > 0
+    && sparse.T.stats.E.numeric_refactorizations > 0);
+  List.iter
+    (fun (label, (r : T.result), d) ->
+      List.iter
+        (fun (e : E.counter_entry) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: registry %s = run %s" label e.E.metric e.E.key)
+            (e.E.get r.T.stats) (counter_of e.E.metric d))
+        E.counter_table)
+    [ ("cold", cold, d_cold); ("warm", warm, d_warm); ("sparse", sparse, d_sparse) ]
 
 (* ------------------------------------------------------------------ *)
 (* golden Chrome-trace fixture: deterministic events must render to
