@@ -118,7 +118,9 @@ watch-smoke: build
 # marginal solves fail visibly), explain its auto-picked variant — the
 # re-simulation must blame a named net for at least one LTE rejection
 # and one Newton retry — write the post-mortem JSON and render it
-# back with `cmldft report`.  Budgeted at five seconds.
+# back with `cmldft report`.  A second leg runs the same loop on a
+# one-AND .bench design written to the temporary directory (at 1 GHz,
+# so its 2 ns transients stay short).  Budgeted at five seconds.
 explain-smoke: build
 	@start=$$(date +%s%N); \
 	dir=$$(mktemp -d); \
@@ -134,6 +136,13 @@ explain-smoke: build
 	  --json $$dir/postmortem.json >/dev/null || { rm -rf $$dir; exit 1; }; \
 	$(DUNE) exec --no-build bin/cmldft.exe -- report $$dir/postmortem.json >/dev/null \
 	  || { rm -rf $$dir; exit 1; }; \
+	printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n' > $$dir/and.bench; \
+	$(DUNE) exec --no-build bin/cmldft.exe -- campaign $$dir/and.bench --freq 1e9 \
+	  --manifest $$dir/bench.json >/dev/null || { rm -rf $$dir; exit 1; }; \
+	$(DUNE) exec --no-build bin/cmldft.exe -- explain $$dir/bench.json \
+	  --json $$dir/bench_pm.json >/dev/null || { rm -rf $$dir; exit 1; }; \
+	$(DUNE) exec --no-build bin/cmldft.exe -- report $$dir/bench_pm.json >/dev/null \
+	  || { rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir; \
 	elapsed_ms=$$((($$(date +%s%N) - start) / 1000000)); \
 	echo "explain-smoke: OK ($${elapsed_ms} ms)"; \
@@ -144,7 +153,9 @@ explain-smoke: build
 # Degenerate .bench input must end in a typed error, never in an
 # uncaught exception: an empty file (nothing to compile) makes
 # `campaign`, `op --bench` and `plan` exit 2, and a flip-flop-only file
-# (nothing to attack) makes `campaign` exit 2.  `op` and `plan` can
+# (nothing to attack) makes `campaign` exit 2.  So do a chain campaign
+# on an instance that is no stage and one whose manifest directory
+# does not exist (refused before the run starts).  `op` and `plan` can
 # still work on the flip-flop-only design, so there they only must not
 # crash.  The inputs are written to a temporary directory, not
 # committed.
@@ -155,7 +166,8 @@ bench-errors-smoke: build
 	fail=0; \
 	for run in "2 campaign $$dir/empty.bench" "2 op --bench $$dir/empty.bench" \
 	    "2 plan $$dir/empty.bench" "2 campaign $$dir/dff_only.bench" \
-	    "any op --bench $$dir/dff_only.bench" "any plan $$dir/dff_only.bench"; do \
+	    "any op --bench $$dir/dff_only.bench" "any plan $$dir/dff_only.bench" \
+	    "2 campaign --dut foo" "2 campaign --manifest $$dir/missing/m.json"; do \
 	  set -- $$run; want=$$1; shift; \
 	  $(DUNE) exec --no-build bin/cmldft.exe -- "$$@" > $$dir/out.txt 2>&1; code=$$?; \
 	  if grep -q "internal error" $$dir/out.txt || [ $$code -gt 2 ] \

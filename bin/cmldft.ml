@@ -87,6 +87,30 @@ let with_bench ~cmd ~path f =
       Printf.eprintf "cmldft %s: %s: %s\n" cmd path reason;
       exit 2
 
+(* Run [f], which resolves a campaign target: an unknown instance or an
+   unreadable, unparsable or degenerate .bench file ends the command
+   with exit 2. *)
+let resolving ~cmd f =
+  match f () with
+  | r -> r
+  | exception Cml_defects.Campaign.Bad_target msg ->
+      Printf.eprintf "cmldft %s: %s\n" cmd msg;
+      exit 2
+
+(* An output file the run will write at its end must be writable
+   before the run starts: fail with exit 2 instead of losing the
+   run. *)
+let check_writable ~cmd = function
+  | None -> ()
+  | Some path -> (
+      let existed = Sys.file_exists path in
+      try
+        close_out (open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path);
+        if not existed then Sys.remove path
+      with Sys_error msg ->
+        Printf.eprintf "cmldft %s: cannot write %s\n" cmd msg;
+        exit 2)
+
 (* telemetry flags, shared by the simulation commands *)
 
 let trace_arg =
@@ -398,62 +422,24 @@ let campaign_cmd =
     print_newline ();
     List.iter (fun (k, v) -> Printf.printf "%-24s %d\n" k v) (Cml_defects.Campaign.summary c)
   in
-  let chain_campaign ~freq ~dut ~no_warm_start ~max_iter ~manifest =
-    let golden = Cml_cells.Chain.build ~stages:8 ~freq () in
-    let defects =
-      Cml_defects.Sites.enumerate golden.Cml_cells.Chain.builder.B.net ~prefix:dut
-        ~pipe_values:[ 1e3; 4e3 ]
-    in
-    Printf.printf "running %d defects on %s (%d jobs)...\n%!" (List.length defects) dut
-      (Cml_runtime.Pool.default_jobs ());
-    Cml_defects.Campaign.run ~freq ~warm_start:(not no_warm_start) ?max_iter ?manifest ~defects
-      ()
-  in
-  let bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest =
-    let circuit = Cml_logic.Bench_format.read_file ~path in
-    let design = Cml_cells.Compile.compile ~freq circuit in
-    let dut =
-      match dut with Some d -> d | None -> Cml_cells.Compile.default_dut design
-    in
-    let dut_out =
-      match Cml_cells.Compile.find_cell design dut with
-      | Some d -> d
-      | None ->
-          Printf.eprintf "cmldft campaign: no compiled cell %S in %s\n" dut path;
-          exit 2
-    in
-    if not (Cml_cells.Compile.physical design dut) then begin
-      Printf.eprintf
-        "cmldft campaign: cell %S is a free complement (no devices, no defect sites)\n" dut;
-      exit 2
-    end;
-    let golden = Cml_cells.Compile.netlist design in
-    let defects = Cml_defects.Sites.enumerate golden ~prefix:dut ~pipe_values:[ 1e3; 4e3 ] in
-    let out_name = Cml_cells.Compile.default_output design in
-    let final = List.assoc out_name design.Cml_cells.Compile.outputs in
-    let cells, devices = Cml_cells.Compile.stats design in
-    Printf.printf
-      "compiled %s: %d cells, %d devices; attacking %s, measuring %s (%d defects, %d jobs)...\n%!"
-      path cells devices dut out_name (List.length defects)
-      (Cml_runtime.Pool.default_jobs ());
-    Cml_defects.Campaign.run_design ~freq ~warm_start:(not no_warm_start) ?max_iter ?manifest
-      ~options:[ ("bench", path); ("dut", dut) ]
-      ~golden ~input:design.Cml_cells.Compile.input ~dut:dut_out ~final ~defects ()
-  in
   let run freq bench dut jobs no_warm_start max_iter trace metrics manifest events =
     apply_jobs jobs;
+    check_writable ~cmd:"campaign" manifest;
+    if events <> Some "-" then check_writable ~cmd:"campaign" events;
     with_telemetry ~events ~trace ~metrics @@ fun () ->
-    let c =
-      match bench with
-      | None ->
-          let dut = Option.value ~default:"x3" dut in
-          chain_campaign ~freq ~dut ~no_warm_start ~max_iter ~manifest
-      | Some path ->
-          with_bench ~cmd:"campaign" ~path (fun () ->
-              bench_campaign ~freq ~path ~dut ~no_warm_start ~max_iter ~manifest)
-    in
+    let module C = Cml_defects.Campaign in
+    let r = resolving ~cmd:"campaign" (fun () -> C.resolve ~freq (C.target ?bench dut)) in
+    let defects = List.length r.C.defects and jobs = Cml_runtime.Pool.default_jobs () in
+    (match (r.C.design, bench) with
+    | Some design, Some path ->
+        let cells, devices = Cml_cells.Compile.stats design in
+        Printf.printf
+          "compiled %s: %d cells, %d devices; attacking %s, measuring %s (%d defects, %d jobs)...\n%!"
+          path cells devices r.C.dut_name r.C.final_name defects jobs
+    | _ -> Printf.printf "running %d defects on %s (%d jobs)...\n%!" defects r.C.dut_name jobs);
+    let c = C.run_resolved ~warm_start:(not no_warm_start) ?max_iter ?manifest r in
     print_entries c;
-    print_utilization ~wall_s:c.Cml_defects.Campaign.wall_s c.Cml_defects.Campaign.utilization;
+    print_utilization ~wall_s:c.C.wall_s c.C.utilization;
     match manifest with Some path -> Printf.printf "wrote %s\n" path | None -> ()
   in
   let info =
@@ -505,56 +491,24 @@ let diagnose_cmd =
   let run freq pipe bench stages dut cell json vcd plot trace metrics events =
     with_telemetry ~events ~trace ~metrics @@ fun () ->
     with_run_events ~kind:"diagnose" @@ fun () ->
-    let d, dut_wave_name =
-      match bench with
-      | None ->
-          if dut < 1 || dut > stages then begin
-            Printf.eprintf "cmldft diagnose: --dut must be within 1..%d\n" stages;
-            exit 2
-          end;
-          let defect =
-            Cml_defects.Defect.Pipe
-              { device = Cml_cells.Chain.stage_name dut ^ ".q3"; r = pipe }
-          in
-          (Dft.Diagnose.run ~freq ~stages ~dut ~defect (),
-           Cml_cells.Chain.stage_name dut ^ ".p")
-      | Some path ->
-          with_bench ~cmd:"diagnose" ~path (fun () ->
-            let circuit = Cml_logic.Bench_format.read_file ~path in
-            let design = Cml_cells.Compile.compile ~freq circuit in
-            let cell =
-              match cell with
-              | Some c -> c
-              | None -> Cml_cells.Compile.default_dut design
-            in
-            (* prefer the cell's tail-source pipe (the chain default's
-               x<i>.q3 analogue); fall back to the first pipe site so
-               every gate topology resolves (a flip-flop's tails live
-               in .m/.s) *)
-            let pipes =
-              List.filter
-                (function Cml_defects.Defect.Pipe _ -> true | _ -> false)
-                (Cml_defects.Sites.enumerate
-                   (Cml_cells.Compile.netlist design)
-                   ~prefix:cell ~pipe_values:[ pipe ])
-            in
-            let is_tail = function
-              | Cml_defects.Defect.Pipe { device; _ } ->
-                  String.length device >= 3
-                  && String.sub device (String.length device - 3) 3 = ".q3"
-              | _ -> false
-            in
-            let defect =
-              match (List.find_opt is_tail pipes, pipes) with
-              | Some d, _ -> d
-              | None, d :: _ -> d
-              | None, [] ->
-                  Printf.eprintf
-                    "cmldft diagnose: cell %S has no pipe site (free complement?)\n" cell;
-                  exit 2
-            in
-            (Dft.Diagnose.run_design ~design ~dut:cell ~defect (), cell ^ ".p"))
+    let module C = Cml_defects.Campaign in
+    let target =
+      match bench with None -> C.Chain { stages; dut } | Some path -> C.Bench { path; cell }
     in
+    let r = resolving ~cmd:"diagnose" (fun () -> C.resolve ~freq ~pipe_values:[ pipe ] target) in
+    (* prefer the instance's tail-source pipe (x<i>.q3); fall back to
+       the first pipe site so every gate topology resolves (a
+       flip-flop's tails live in .m/.s).  Every resolved instance owns
+       transistors, so it has pipe sites. *)
+    let pipe_on suffix =
+      List.find_opt
+        (function
+          | Cml_defects.Defect.Pipe { device; _ } -> Filename.check_suffix device suffix
+          | _ -> false)
+        r.C.defects
+    in
+    let defect = match pipe_on ".q3" with Some d -> d | None -> Option.get (pipe_on "") in
+    let d = Dft.Diagnose.run ~defect r and dut_wave_name = r.C.dut_name ^ ".p" in
     print_string (Dft.Diagnose.render_text d);
     if plot then begin
       let dut_wave = List.assoc dut_wave_name d.Dft.Diagnose.waves in

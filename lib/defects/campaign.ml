@@ -1,5 +1,7 @@
 module E = Cml_spice.Engine
 module T = Cml_spice.Transient
+module B = Cml_cells.Builder
+module Cp = Cml_cells.Compile
 
 type measurement = {
   dut_vlow : float;
@@ -42,6 +44,171 @@ type t = {
   wall_s : float;
 }
 
+type target = Chain of { stages : int; dut : int } | Bench of { path : string; cell : string option }
+
+exception Bad_target of string
+
+let bad fmt = Printf.ksprintf (fun s -> raise (Bad_target s)) fmt
+
+type resolved = {
+  target : target;
+  freq : float;
+  builder : B.t;
+  design : Cp.t option;
+  input : B.diff;
+  dut_name : string;
+  dut : B.diff;
+  monitored : (string * B.diff) list;
+  final_name : string;
+  final : B.diff;
+  digest : string option;
+  defects : Defect.t list;
+}
+
+let target ?bench dut =
+  let stages = 8 in
+  match (bench, dut) with
+  | Some path, cell -> Bench { path; cell }
+  | None, None -> Chain { stages; dut = Cml_cells.Chain.dut_stage }
+  | None, Some s -> (
+      match Scanf.sscanf s "x%u%!" Fun.id with
+      | k when Cml_cells.Chain.stage_name k = s -> Chain { stages; dut = k }
+      | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) ->
+          bad "%S names no chain stage (x1..x%d)" s stages)
+
+let chain_rows (chain : Cml_cells.Chain.t) =
+  List.init (Array.length chain.Cml_cells.Chain.stages) (fun i ->
+      (Cml_cells.Chain.stage_name (i + 1), Cml_cells.Chain.output chain (i + 1)))
+
+let resolve ?proc ?(pipe_values = [ 1e3; 4e3 ]) ~freq target =
+  let resolved target builder design digest ~input ~dut_name ~monitored ~final_name =
+    let row name = List.assoc name monitored in
+    {
+      target;
+      freq;
+      builder;
+      design;
+      input;
+      dut_name;
+      dut = row dut_name;
+      monitored;
+      final_name;
+      final = row final_name;
+      digest;
+      defects = Sites.enumerate builder.B.net ~prefix:dut_name ~pipe_values;
+    }
+  in
+  match target with
+  | Chain { stages; dut } ->
+      if dut < 1 || dut > stages then
+        bad "stage x%d is outside the %d-stage chain (x1..x%d)" dut stages stages;
+      let chain = Cml_cells.Chain.build ?proc ~stages ~freq () in
+      resolved target chain.Cml_cells.Chain.builder None None ~input:chain.Cml_cells.Chain.input
+        ~dut_name:(Cml_cells.Chain.stage_name dut) ~monitored:(chain_rows chain)
+        ~final_name:(Cml_cells.Chain.stage_name stages)
+  | Bench { path; cell } ->
+      let text =
+        try In_channel.with_open_bin path In_channel.input_all with Sys_error msg -> bad "%s" msg
+      in
+      let design, cell =
+        try
+          let design = Cp.compile ?proc ~freq (Cml_logic.Bench_format.of_string text) in
+          (design, match cell with Some c -> c | None -> Cp.default_dut design)
+        with
+        | Cml_logic.Bench_format.Parse_error { line; message } ->
+            bad "%s: bench parse error at line %d: %s" path line message
+        | Cp.Degenerate reason -> bad "%s: %s" path reason
+      in
+      let dut =
+        match Cp.find_cell design cell with
+        | Some d -> d
+        | None -> bad "no compiled cell %S in %s" cell path
+      in
+      if not (Cp.physical design cell) then
+        bad "cell %S is a free complement (no devices, no defect sites)" cell;
+      let outputs = design.Cp.outputs in
+      (* measured at the last declared output, or at the cell itself
+         when the design declares none *)
+      resolved (Bench { path; cell = Some cell }) design.Cp.builder (Some design)
+        (Some (Digest.to_hex (Digest.string text)))
+        ~input:design.Cp.input ~dut_name:cell
+        ~monitored:((cell, dut) :: List.filter (fun (nm, _) -> nm <> cell) outputs)
+        ~final_name:(if outputs = [] then cell else Cp.default_output design)
+
+(* Run options: the one writer and its reader *)
+
+type spec = {
+  target : target option;
+  freq : float;
+  tstop : float;
+  warm_start : bool;
+  max_iter : int option;
+  defects : int;
+  pipe_values : float list;
+  digest : string option;
+}
+
+(* %g when it reads back to the same float, every digit otherwise *)
+let exact x =
+  let s = Printf.sprintf "%g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let spec_options s =
+  let freq = [ ("freq", exact s.freq) ] in
+  (* key order as in earlier manifests: the chain's geometry follows
+     the frequency, a bench design's name leads *)
+  (match s.target with
+  | None -> freq
+  | Some (Chain { stages; dut }) ->
+      freq @ [ ("stages", string_of_int stages); ("dut", string_of_int dut) ]
+  | Some (Bench { path; cell }) ->
+      (("bench", path) :: Option.fold ~none:[] ~some:(fun c -> [ ("dut", c) ]) cell) @ freq)
+  @ [
+      ("tstop", exact s.tstop);
+      ("warm_start", string_of_bool s.warm_start);
+      ("defects", string_of_int s.defects);
+    ]
+  @ Option.fold ~none:[] ~some:(fun n -> [ ("max_iter", string_of_int n) ]) s.max_iter
+  @ [ ("pipe_values", String.concat "," (List.map exact s.pipe_values)) ]
+  @ Option.fold ~none:[] ~some:(fun d -> [ ("bench_digest", d) ]) s.digest
+
+let spec_of_options options =
+  let get key =
+    match List.assoc_opt key options with
+    | Some v -> v
+    | None -> bad "the run options carry no %S: the run cannot be rebuilt" key
+  in
+  let parse what conv key v =
+    match conv v with Some x -> x | None -> bad "option %S = %S is not %s" key v what
+  in
+  let num key = parse "a number" float_of_string_opt key (get key) in
+  let int key = parse "an integer" int_of_string_opt key (get key) in
+  let target =
+    match List.assoc_opt "bench" options with
+    | Some path -> Some (Bench { path; cell = List.assoc_opt "dut" options })
+    | None when List.mem_assoc "stages" options ->
+        Some (Chain { stages = int "stages"; dut = int "dut" })
+    | None -> None
+  in
+  {
+    target;
+    freq = num "freq";
+    tstop = num "tstop";
+    warm_start = parse "a boolean" bool_of_string_opt "warm_start" (get "warm_start");
+    max_iter = Option.map (fun _ -> int "max_iter") (List.assoc_opt "max_iter" options);
+    defects = int "defects";
+    pipe_values =
+      (match get "pipe_values" with
+      | "" -> []
+      | v -> List.map (parse "a number" float_of_string_opt "pipe_values") (String.split_on_char ',' v));
+    digest =
+      (match target with Some (Bench _) -> Some (get "bench_digest") | _ -> None);
+  }
+
+let pipe_values_of defects =
+  List.sort_uniq compare
+    (List.filter_map (function Defect.Pipe { r; _ } -> Some r | _ -> None) defects)
+
 (* The design adapter: all a campaign core needs to know about the
    circuit under attack.  [probes] names the unknowns to stream from a
    compiled sim (the supply branch index depends on its layout);
@@ -59,13 +226,10 @@ let supply_probe sim probes =
   | exception Not_found -> probes
   | br -> ("i(vdd)", br) :: probes
 
-let diff_probes name (d : Cml_cells.Builder.diff) =
-  [
-    (name ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
-    (name ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
-  ]
+let diff_probes name (d : B.diff) =
+  [ (name ^ ".p", E.node_unknown d.B.p); (name ^ ".n", E.node_unknown d.B.n) ]
 
-(* The measurement both designs share, from the probe pairs [in],
+(* The measurement every design shares, from the probe pairs [in],
    [dut] and [final] and the optional supply branch.  Everything the
    classifier needs comes from the observers, which see every accepted
    step, never from the (thinned or absent) dense trajectory. *)
@@ -119,29 +283,27 @@ let measure_probes obs ~dut ~final ~freq ~tstop =
     },
     Cml_wave.Measure.levels wp_fin ~t_from )
 
-(* The buffer chain: both outputs of every stage are probed, so given
-   the fault-free output levels the per-stage healing profile
-   ({!Cml_wave.Health.profile}) locates where a degradation starts and
-   how many stages it needs to recover. *)
-let chain_design chain ~freq ~tstop ~dut =
-  let stages = Array.length chain.Cml_cells.Chain.stages in
-  let name i = Cml_cells.Chain.stage_name i in
+(* Probes [input] and every pair in [rows].  With [healing] the rows
+   are the chain's stages, and given the fault-free output levels the
+   per-stage healing profile ({!Cml_wave.Health.profile}) locates where
+   a degradation starts and how many stages it needs to recover.  A
+   compiled design has no stage chain: it probes the attacked cell and
+   one primary output, and [degraded_at] and [healing_depth] stay
+   [None]. *)
+let design ~healing ~input ~rows ~dut ~final ~freq ~tstop =
   let probes sim =
-    supply_probe sim
-      (diff_probes "in" chain.Cml_cells.Chain.input
-      @ List.concat
-          (List.init stages (fun i ->
-               diff_probes (name (i + 1)) (Cml_cells.Chain.output chain (i + 1)))))
+    supply_probe sim (List.concat_map (fun (name, d) -> diff_probes name d) (("in", input) :: rows))
   in
   let analyze ?nominal obs =
-    let m, levels = measure_probes obs ~dut:(name dut) ~final:(name stages) ~freq ~tstop in
+    let m, levels = measure_probes obs ~dut ~final ~freq ~tstop in
     match nominal with
-    | None -> (m, levels)
-    | Some (nominal_low, nominal_high) ->
+    | Some (nominal_low, nominal_high) when healing ->
         let stage_waves =
-          List.init stages (fun i ->
-              let times, values = T.probe_samples obs (name (i + 1) ^ ".p") in
-              (name (i + 1), Cml_wave.Wave.create times values))
+          List.map
+            (fun (name, _) ->
+              let times, values = T.probe_samples obs (name ^ ".p") in
+              (name, Cml_wave.Wave.create times values))
+            rows
         in
         let p =
           Cml_wave.Health.profile ~nominal_low ~nominal_high ~t_from:(tstop /. 2.0) stage_waves
@@ -152,22 +314,23 @@ let chain_design chain ~freq ~tstop ~dut =
             healing_depth = p.Cml_wave.Health.healing_depth;
           },
           levels )
+    | _ -> (m, levels)
   in
   { probes; analyze }
 
-(* A compiled design probes the attacked cell's output pair and one
-   primary output.  There is no stage chain, so it has no healing
-   profile ([degraded_at] and [healing_depth] stay [None]). *)
-let compiled_design ~input ~dut ~final ~freq ~tstop =
-  let probes sim =
-    supply_probe sim (diff_probes "in" input @ diff_probes "dut" dut @ diff_probes "fin" final)
-  in
-  let analyze ?nominal:_ obs = measure_probes obs ~dut:"dut" ~final:"fin" ~freq ~tstop in
-  { probes; analyze }
+let compiled_design ~input ~dut ~final =
+  design ~healing:false ~input ~rows:[ ("dut", dut); ("fin", final) ] ~dut:"dut" ~final:"fin"
 
-(* One transient of [net] with the design's probes attached. *)
-let simulate ?engine_options ?guide ?breakpoints ?(record_every = 1) ?nominal design net ~tstop =
-  let sim = E.compile ?options:engine_options net in
+let design_of (r : resolved) =
+  match r.target with
+  | Chain _ ->
+      design ~healing:true ~input:r.input ~rows:r.monitored ~dut:r.dut_name ~final:r.final_name
+        ~freq:r.freq
+  | Bench _ -> compiled_design ~input:r.input ~dut:r.dut ~final:r.final ~freq:r.freq
+
+(* One transient of [net] on its compiled [sim], with the design's
+   probes attached. *)
+let simulate ?guide ?breakpoints ?(record_every = 1) ?nominal design sim net ~tstop =
   let cfg = T.config ~tstop ~max_step:10e-12 ~record_every () in
   let obs = T.observers (design.probes sim) in
   let r = T.run ?guide ?breakpoints ~observers:obs sim net cfg in
@@ -176,9 +339,16 @@ let simulate ?engine_options ?guide ?breakpoints ?(record_every = 1) ?nominal de
 
 let measure_chain ?engine_options ?guide ?breakpoints ?record_every ?nominal chain net ~freq
     ~tstop ~dut =
+  let rows = chain_rows chain in
+  let design =
+    design ~healing:true ~input:chain.Cml_cells.Chain.input ~rows
+      ~dut:(Cml_cells.Chain.stage_name dut)
+      ~final:(Cml_cells.Chain.stage_name (List.length rows))
+      ~freq ~tstop
+  in
   let m, _, _ =
-    simulate ?engine_options ?guide ?breakpoints ?record_every ?nominal
-      (chain_design chain ~freq ~tstop ~dut)
+    simulate ?guide ?breakpoints ?record_every ?nominal design
+      (E.compile ?options:engine_options net)
       net ~tstop
   in
   m
@@ -226,18 +396,19 @@ let flag_labels f =
       ("healed", f.healed);
     ]
 
+let entry_labels e = match e.outcome with Failed _ -> [ "failed" ] | Measured (_, fl) -> flag_labels fl
+
 let variant_of_entry entry ~seconds ~stats =
-  let classes, meas =
+  let meas =
     match entry.outcome with
-    | Failed _ -> ([ "failed" ], [])
-    | Measured (m, fl) ->
-        ( flag_labels fl,
-          [
-            ("dut_vlow", m.dut_vlow);
-            ("dut_swing", m.dut_swing);
-            ("final_swing", m.final_swing);
-            ("supply_current", m.supply_current);
-          ] )
+    | Failed _ -> []
+    | Measured (m, _) ->
+        [
+          ("dut_vlow", m.dut_vlow);
+          ("dut_swing", m.dut_swing);
+          ("final_swing", m.final_swing);
+          ("supply_current", m.supply_current);
+        ]
   in
   let healing =
     match entry.outcome with
@@ -251,7 +422,7 @@ let variant_of_entry entry ~seconds ~stats =
   in
   {
     Cml_telemetry.Manifest.v_name = Defect.describe entry.defect;
-    v_classes = classes;
+    v_classes = entry_labels entry;
     v_seconds = seconds;
     v_metrics = meas @ healing @ solver;
   }
@@ -285,8 +456,7 @@ let event_variant ~idx entry ~seconds ~stats =
   {
     Cml_telemetry.Events.ev_idx = idx;
     ev_name = Defect.describe entry.defect;
-    ev_classes =
-      (match entry.outcome with Failed _ -> [ "failed" ] | Measured (_, fl) -> flag_labels fl);
+    ev_classes = entry_labels entry;
     ev_healing = healing_label entry;
     ev_failed = (match entry.outcome with Failed _ -> true | Measured _ -> false);
     ev_steps = (match stats with Some s -> s.E.accepted_steps | None -> 0);
@@ -303,45 +473,76 @@ let utilization_rows ~wall_s before =
         ~items:d.Cml_runtime.Pool.items ~longest_stall_ns:d.Cml_runtime.Pool.longest_stall_ns)
     (Cml_runtime.Pool.utilization_since before)
 
-let to_manifest ?seed ?(options = []) t =
+let to_manifest ?(options = []) t =
   let spans = Cml_telemetry.Trace.aggregate (Cml_telemetry.Trace.peek ()) in
-  Cml_telemetry.Manifest.create ?seed ~options ~healing:(healing_histogram t.entries)
+  Cml_telemetry.Manifest.create ~options ~healing:(healing_histogram t.entries)
     ~variants:t.variants ~metrics:t.metrics ~spans ~kind:"campaign" ()
 
-(* The campaign core, shared by the chain and compiled designs: lint
-   the golden netlist, simulate it once as the reference (and the
-   warm-start guide), then inject, compile, simulate and classify one
-   defect per pool task.  [options] is the caller's context for the
-   run options; the core appends its own. *)
-let campaign ~design ~proc ~tstop ?jobs ~preflight ~warm_start ?max_iter ?manifest ~options
-    ~golden ~defects () =
-  let engine_options =
-    Option.map (fun n -> { E.default_options with E.max_iter = n }) max_iter
-  in
-  let snap0 = Cml_telemetry.Metrics.snapshot () in
-  let span = Cml_telemetry.Trace.start () in
-  if preflight then
-    Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
+(* Simulate the golden netlist once as the reference, and return its
+   measurement with the function that runs one variant against it:
+   inject the defect, compile the faulty netlist, run one transient and
+   classify its streamed probes.  A variant also returns its counters
+   ([None] when it failed) and its compiled sim with the faulty netlist
+   ([None] when the defect did not inject). *)
+let prepare ~design ~proc ~(spec : spec) golden =
+  let options = Option.map (fun n -> { E.default_options with E.max_iter = n }) spec.max_iter in
+  let tstop = spec.tstop in
   (* the stimulus is shared by every variant, and defect injection
      only ever adds resistors and capacitors, so the fault-free
      breakpoint schedule is valid for all of them *)
   let breakpoints = T.collect_breakpoints golden ~tstop in
   let reference, ref_traj, nominal =
-    simulate ?engine_options ~breakpoints design golden ~tstop
+    simulate ~breakpoints design (E.compile ?options golden) golden ~tstop
   in
   (* the nominal trajectory seeds every variant's Newton solves;
      [T.run] ignores it for variants whose defect changed the unknown
      layout (an open adds a node) and falls back to cold seeding
      whenever the variant diverges from the nominal path *)
-  let guide = if warm_start then Some ref_traj else None in
-  let run_options =
-    options
-    @ [
-        ("warm_start", string_of_bool warm_start);
-        ("defects", string_of_int (List.length defects));
-      ]
-    @ match max_iter with None -> [] | Some n -> [ ("max_iter", string_of_int n) ]
+  let guide = if spec.warm_start then Some ref_traj else None in
+  (* variants keep no dense trajectory (classification reads the
+     probes); the reference keeps all of it because the guide seeds
+     from its rows *)
+  let run_variant ?introspect defect =
+    match Inject.apply golden defect with
+    | exception (Not_found | Invalid_argument _) ->
+        ({ defect; outcome = Failed "injection failed" }, None, None)
+    | faulty ->
+        let sim = E.compile ?options faulty in
+        E.set_introspect sim introspect;
+        let entry, stats =
+          match simulate ?guide ~breakpoints ~record_every:0 ~nominal design sim faulty ~tstop with
+          | m, r, _ ->
+              ({ defect; outcome = Measured (m, classify ~proc ~reference m) }, Some r.T.stats)
+          | exception E.No_convergence msg -> ({ defect; outcome = Failed msg }, None)
+        in
+        (entry, stats, Some (sim, faulty))
   in
+  (reference, run_variant)
+
+(* The campaign core, shared by the chain and compiled designs: lint
+   the golden netlist, simulate it once as the reference (and the
+   warm-start guide), then run one variant per pool task.  The run
+   options are [context] followed by the spec of the run. *)
+let campaign ~design ~proc ?jobs ~preflight ?manifest ~context ?target ?digest ~freq ~tstop
+    ~warm_start ?max_iter ~golden ~defects () =
+  let spec =
+    {
+      target;
+      freq;
+      tstop;
+      warm_start;
+      max_iter;
+      defects = List.length defects;
+      pipe_values = pipe_values_of defects;
+      digest;
+    }
+  in
+  let snap0 = Cml_telemetry.Metrics.snapshot () in
+  let span = Cml_telemetry.Trace.start () in
+  if preflight then
+    Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
+  let reference, run_variant = prepare ~design ~proc ~spec golden in
+  let run_options = context @ spec_options spec in
   let ev_run =
     Cml_telemetry.Events.run_start ~kind:"campaign" ~total:(List.length defects) ?jobs
       ~options:run_options ()
@@ -356,22 +557,7 @@ let campaign ~design ~proc ~tstop ?jobs ~preflight ~warm_start ?max_iter ?manife
     Cml_telemetry.Progress.variant_start (Defect.describe defect);
     let tok = Cml_telemetry.Trace.start () in
     let t0 = Cml_telemetry.Clock.now_ns () in
-    let entry, stats =
-      match Inject.apply golden defect with
-      | exception (Not_found | Invalid_argument _) ->
-          ({ defect; outcome = Failed "injection failed" }, None)
-      | faulty -> (
-          (* classification reads the streamed probes, so variants
-             keep no dense trajectory; the reference keeps all of it
-             because the guide seeds from its rows *)
-          match
-            simulate ?engine_options ?guide ~breakpoints ~record_every:0 ~nominal design faulty
-              ~tstop
-          with
-          | m, r, _ ->
-              ({ defect; outcome = Measured (m, classify ~proc ~reference m) }, Some r.T.stats)
-          | exception E.No_convergence msg -> ({ defect; outcome = Failed msg }, None))
-    in
+    let entry, stats, _ = run_variant defect in
     let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
     Cml_telemetry.Trace.finish ~cat:"campaign"
       ~args:
@@ -408,33 +594,60 @@ let campaign ~design ~proc ~tstop ?jobs ~preflight ~warm_start ?max_iter ?manife
   | Some path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options:run_options t));
   t
 
-let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?tstop ?jobs
-    ?(preflight = true) ?(warm_start = true) ?max_iter ?manifest ~defects () =
-  let dut = match dut with Some d -> d | None -> Cml_cells.Chain.dut_stage in
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
-  let chain = Cml_cells.Chain.build ~proc ~stages ~freq () in
-  campaign
-    ~design:(chain_design chain ~freq ~tstop ~dut)
-    ~proc ~tstop ?jobs ~preflight ~warm_start ?max_iter ?manifest
-    ~options:
-      [
-        ("freq", Printf.sprintf "%g" freq);
-        ("stages", string_of_int stages);
-        ("dut", string_of_int dut);
-        ("tstop", Printf.sprintf "%g" tstop);
-      ]
-    ~golden:chain.Cml_cells.Chain.builder.Cml_cells.Builder.net ~defects ()
+let run_resolved ?tstop ?jobs ?(preflight = true) ?(warm_start = true) ?max_iter ?manifest
+    ?defects (r : resolved) =
+  let tstop = Option.value tstop ~default:(2.0 /. r.freq) in
+  campaign ~design:(design_of r ~tstop) ~proc:r.builder.B.proc ?jobs ~preflight ?manifest
+    ~context:[] ~target:r.target ?digest:r.digest ~freq:r.freq ~tstop ~warm_start ?max_iter
+    ~golden:r.builder.B.net
+    ~defects:(Option.value defects ~default:r.defects)
+    ()
+
+let run ?proc ?(freq = 100e6) ?(stages = 8) ?(dut = Cml_cells.Chain.dut_stage) ?tstop ?jobs
+    ?preflight ?warm_start ?max_iter ?manifest ~defects () =
+  run_resolved ?tstop ?jobs ?preflight ?warm_start ?max_iter ?manifest ~defects
+    (resolve ?proc ~freq (Chain { stages; dut }))
 
 let run_design ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?tstop ?jobs
     ?(preflight = true) ?(warm_start = true) ?max_iter ?manifest ?(options = []) ~golden ~input
     ~dut ~final ~defects () =
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
+  let tstop = Option.value tstop ~default:(2.0 /. freq) in
   campaign
     ~design:(compiled_design ~input ~dut ~final ~freq ~tstop)
-    ~proc ~tstop ?jobs ~preflight ~warm_start ?max_iter ?manifest
-    ~options:
-      (options @ [ ("freq", Printf.sprintf "%g" freq); ("tstop", Printf.sprintf "%g" tstop) ])
-    ~golden ~defects ()
+    ~proc ?jobs ~preflight ?manifest ~context:options ~freq ~tstop ~warm_start ?max_iter ~golden
+    ~defects ()
+
+type replay = {
+  entry : entry;
+  stats : E.counters option;
+  sim : E.sim;
+  net : Cml_spice.Netlist.t;
+}
+
+let replay ?introspect ~options name =
+  let spec = spec_of_options options in
+  let target =
+    match spec.target with
+    | Some t -> t
+    | None -> bad "the run options name no rebuildable design (no \"stages\" or \"bench\")"
+  in
+  let r = resolve ~pipe_values:spec.pipe_values ~freq:spec.freq target in
+  (match target with
+  | Bench { path; _ } when spec.digest <> r.digest ->
+      bad "%s has changed since the run: its content digest no longer matches" path
+  | _ -> ());
+  let defect =
+    match List.find_opt (fun d -> Defect.describe d = name) r.defects with
+    | Some d -> d
+    | None -> bad "variant %S matches no defect site of %s" name r.dut_name
+  in
+  let design = design_of r ~tstop:spec.tstop in
+  match prepare ~design ~proc:r.builder.B.proc ~spec r.builder.B.net with
+  | exception E.No_convergence msg -> bad "the fault-free reference no longer converges: %s" msg
+  | _, run_variant -> (
+      match run_variant ?introspect defect with
+      | entry, stats, Some (sim, net) -> { entry; stats; sim; net }
+      | _, _, None -> bad "defect %S no longer injects into the rebuilt design" name)
 
 let summary t =
   let count p = List.length (List.filter p t.entries) in

@@ -59,6 +59,93 @@ type t = {
   wall_s : float;  (** wall clock of the variant phase *)
 }
 
+(** {1 Targets}
+
+    What a campaign attacks, resolved in one place for campaigns,
+    {!replay} and [Cml_dft.Diagnose.run]. *)
+
+type target =
+  | Chain of { stages : int; dut : int }
+      (** the built-in buffer chain of [stages] stages, defect in the
+          1-based stage [dut] *)
+  | Bench of { path : string; cell : string option }
+      (** a compiled [.bench] circuit; [cell] names the attacked cell
+          ([None]: {!Cml_cells.Compile.default_dut}) *)
+
+exception Bad_target of string
+(** A target that cannot be resolved or replayed; the payload is the
+    message. *)
+
+val target : ?bench:string -> string option -> target
+(** The target a [--dut] value names: with [bench] a compiled cell,
+    otherwise a stage ["xK"] of the 8-stage chain.
+    [None] is the default instance.
+    @raise Bad_target when a chain instance is not of the form ["xK"]. *)
+
+type resolved = {
+  target : target;  (** as requested, with a [.bench] cell filled in *)
+  freq : float;  (** stimulus frequency *)
+  builder : Cml_cells.Builder.t;  (** its [net] is the golden netlist *)
+  design : Cml_cells.Compile.t option;  (** the compiled [.bench] design *)
+  input : Cml_cells.Builder.diff;  (** the toggling stimulus pair *)
+  dut_name : string;  (** attacked instance: ["x3"] or a compiled cell name *)
+  dut : Cml_cells.Builder.diff;  (** its output pair *)
+  monitored : (string * Cml_cells.Builder.diff) list;
+      (** every chain stage, or the attacked cell and the other outputs *)
+  final_name : string;  (** the last chain stage or declared output *)
+  final : Cml_cells.Builder.diff;
+  digest : string option;  (** hex MD5 of the [.bench] file's content *)
+  defects : Defect.t list;  (** {!Sites.enumerate} of the attacked instance *)
+}
+
+val resolve : ?proc:Cml_cells.Process.t -> ?pipe_values:float list -> freq:float -> target -> resolved
+(** Build the golden design at [freq] and enumerate the attacked
+    instance's sites with pipe resistances [pipe_values] (default 1 and
+    4 kohm).  Each call builds a fresh design that callers may extend.
+    @raise Bad_target on a stage outside the chain, an unknown or
+    device-less cell, or an unreadable, unparsable or degenerate
+    [.bench] file. *)
+
+(** {1 Run options}
+
+    The [options] map of a campaign's manifest and run events holds:
+    - ["freq"], ["tstop"]: stimulus frequency and transient end (s);
+    - the target: ["stages"] and ["dut"] (stage number) for the chain,
+      ["bench"] (the path as given) and ["dut"] (cell name) for a
+      [.bench] design, with ["bench_digest"], the hex MD5 of the
+      file's content;
+    - ["warm_start"]: ["true"] or ["false"];
+    - ["defects"]: number of variants;
+    - ["max_iter"]: the Newton iteration cap, when set.  It is the only
+      engine option a campaign entry point can set, so the engine
+      options are recorded completely;
+    - ["pipe_values"]: the defect list's distinct pipe resistances
+      (ohm), ascending and comma-separated.
+
+    Floats print with [%g] when that reads back exactly, else with 17
+    digits.  Replays use {!Cml_cells.Process.default}, the only process
+    the command line runs. *)
+
+type spec = {
+  target : target option;  (** [None] for a {!run_design} campaign *)
+  freq : float;
+  tstop : float;
+  warm_start : bool;
+  max_iter : int option;
+  defects : int;
+  pipe_values : float list;
+  digest : string option;
+}
+
+val spec_options : spec -> (string * string) list
+(** The run options a campaign records for [spec]. *)
+
+val spec_of_options : (string * string) list -> spec
+(** [spec_of_options (spec_options s) = s]; unknown keys are ignored.
+    @raise Bad_target on a missing key or a malformed value. *)
+
+(** {1 Campaigns} *)
+
 val measure_chain :
   ?engine_options:Cml_spice.Engine.options ->
   ?guide:Cml_spice.Transient.result ->
@@ -127,13 +214,15 @@ val run :
     [max_iter] caps Newton iterations per solve (default: the engine's
     100) for every compiled sim of the run, reference included — a
     stress knob that makes marginal defects fail solves visibly for
-    the introspection pipeline.  When given it is recorded in the run
-    options (key ["max_iter"]), so [cmldft explain] re-simulates under
-    the same cap.
+    the introspection pipeline.
+
+    The run options record the target and run settings
+    ({!spec_options}), so {!replay} re-simulates any variant exactly.
 
     [manifest] writes a {!Cml_telemetry.Manifest} JSON document to the
     given path after the run (options, per-variant classification and
-    solver metrics, registry delta, span summary). *)
+    solver metrics, registry delta, span summary).
+    @raise Bad_target when [dut] is outside [1..stages]. *)
 
 val run_design :
   ?proc:Cml_cells.Process.t ->
@@ -159,14 +248,46 @@ val run_design :
     and [final] the primary output whose swing decides the stuck-at
     class.  Semantics of [warm_start], [jobs], [preflight], [max_iter]
     and [manifest] match {!run}, and both share one campaign core;
-    [options] prepends caller context (e.g. the bench path) to the
-    manifest options.  There is no stage chain, so measurements carry
+    [options] prepends caller context to the run options.  The run
+    options name no target, so {!replay} cannot rebuild its variants:
+    campaigns that should replay go through {!run_resolved}.  There
+    is no stage chain, so measurements carry
     no healing profile ([degraded_at] and [healing_depth] are [None])
     and the manifest's healing histogram reads "clean". *)
 
-val to_manifest : ?seed:int -> ?options:(string * string) list -> t -> Cml_telemetry.Manifest.t
-(** The run manifest [?manifest] writes; exposed so callers can stamp
-    their own options / seed and choose the path. *)
+val run_resolved :
+  ?tstop:float ->
+  ?jobs:int ->
+  ?preflight:bool ->
+  ?warm_start:bool ->
+  ?max_iter:int ->
+  ?manifest:string ->
+  ?defects:Defect.t list ->
+  resolved ->
+  t
+(** {!run} on a resolved target, [defects] defaulting to its sites. *)
+
+type replay = {
+  entry : entry;  (** the re-simulated, re-classified variant *)
+  stats : Cml_spice.Engine.counters option;
+      (** its transient's counters; [None] when it failed *)
+  sim : Cml_spice.Engine.sim;  (** its compiled sim, for attribution *)
+  net : Cml_spice.Netlist.t;  (** its faulty netlist *)
+}
+
+val replay :
+  ?introspect:Cml_spice.Introspect.t -> options:(string * string) list -> string -> replay
+(** [replay ~options name] re-runs variant [name] ({!Defect.describe})
+    of a finished campaign from its run options: resolve the target,
+    simulate the reference, then run the variant with the function the
+    campaign ran it with, [introspect] attached to its sim.
+    @raise Bad_target when the options cannot be read or name no target
+    (a {!run_design} run), {!resolve} fails, the [.bench] content no
+    longer matches ["bench_digest"], or [name] matches no site that
+    injects. *)
+
+val entry_labels : entry -> string list
+(** {!flag_labels} of a measured entry, [["failed"]] otherwise. *)
 
 val classify :
   proc:Cml_cells.Process.t -> reference:measurement -> measurement -> flags
@@ -176,12 +297,6 @@ val flag_labels : flags -> string list
     as {!summary} and the run manifest ("stuck-at",
     "excessive-excursion", ...); the diagnosis pipeline re-uses these
     to describe a flagged entry. *)
-
-val healing_histogram : entry list -> (string * int) list
-(** Healing-depth histogram over the measured entries: "clean" (never
-    degraded), "depth=N" (recovered after N stages), "unhealed"
-    (degradation persists to the chain output).  Failed entries are
-    skipped.  This is the [healing] section {!to_manifest} embeds. *)
 
 val summary : t -> (string * int) list
 (** Histogram of the observed fault classes, for reporting: counts of

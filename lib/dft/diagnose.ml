@@ -10,6 +10,7 @@ module T = Cml_spice.Transient
 module W = Cml_wave.Wave
 module H = Cml_wave.Health
 module Json = Cml_telemetry.Json
+module C = Cml_defects.Campaign
 
 let schema = "cml-dft-diagnosis/1"
 
@@ -29,26 +30,6 @@ type t = {
   detector_wave : W.t;
 }
 
-(* Stage output probes ("x1.p" ... "xN.n") plus input pair and the
-   detector output; probing by unknown index so the observer streams
-   every accepted step (see Transient.observers). *)
-let chain_probes chain ~stages ~det_vout =
-  let stage_probes =
-    List.concat
-      (List.init stages (fun i ->
-           let d = Cml_cells.Chain.output chain (i + 1) in
-           let name = Cml_cells.Chain.stage_name (i + 1) in
-           [
-             (name ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
-             (name ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
-           ]))
-  in
-  let input = chain.Cml_cells.Chain.input in
-  ("in.p", E.node_unknown input.Cml_cells.Builder.p)
-  :: ("in.n", E.node_unknown input.Cml_cells.Builder.n)
-  :: ("det.vout", E.node_unknown det_vout)
-  :: stage_probes
-
 let probed_run ?guide sim net ~tstop ~probes =
   let obs = T.observers probes in
   let r = T.run ?guide ~observers:obs sim net (T.config ~tstop ~max_step:10e-12 ()) in
@@ -61,108 +42,40 @@ let probed_run ?guide sim net ~tstop ~probes =
   in
   (r, waves)
 
-let stage_waves waves ~stages =
-  List.init stages (fun i ->
-      let name = Cml_cells.Chain.stage_name (i + 1) ^ ".p" in
-      (Cml_cells.Chain.stage_name (i + 1), List.assoc name waves))
-
-let run ?(proc = Cml_cells.Process.default) ?(freq = 100e6) ?(stages = 8) ?dut ?tstop
-    ?(classes = []) ~defect () =
-  let dut = match dut with Some d -> d | None -> Cml_cells.Chain.dut_stage in
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
-  let chain = Cml_cells.Chain.build ~proc ~stages ~freq () in
-  let builder = chain.Cml_cells.Chain.builder in
-  let det_vout =
-    Detector.attach_v1 builder ~name:"det"
-      ~outputs:(Cml_cells.Chain.output chain dut)
-      Detector.v1_default
-  in
+(* The health-profile rows are the target's monitored pairs: every
+   stage of the chain, or the attacked cell of a compiled design
+   followed by every other primary output (no chain there, but the same
+   degraded-at-the-DUT / recovered-at-the-outputs reading applies).
+   The detector attaches to the attacked instance's output pair. *)
+let run ?tstop ~defect (r : C.resolved) =
+  let builder = r.C.builder in
+  let proc = builder.Cml_cells.Builder.proc in
+  let tstop = match tstop with Some t -> t | None -> 2.0 /. r.C.freq in
+  let det_vout = Detector.attach_v1 builder ~name:"det" ~outputs:r.C.dut Detector.v1_default in
   let golden = builder.Cml_cells.Builder.net in
-  (* node indices are assigned by the netlist, not the compiled
+  let monitored = r.C.monitored in
+  (* probing by unknown index, so the observer streams every accepted
+     step; node indices are assigned by the netlist, not the compiled
      engine, and defect injection only ever adds devices across
      existing nodes — so the same probe set serves both passes *)
-  let probes = chain_probes chain ~stages ~det_vout in
-  let t_from = tstop /. 2.0 in
-  (* fault-free pass: nominal levels and the reference profile, plus a
-     warm-start guide for the faulty pass *)
-  let ref_r, ref_waves = probed_run (E.compile golden) golden ~tstop ~probes in
-  let nominal_low, nominal_high =
-    Cml_wave.Measure.levels
-      (List.assoc (Cml_cells.Chain.stage_name stages ^ ".p") ref_waves)
-      ~t_from
-  in
-  let nominal =
-    H.profile ~nominal_low ~nominal_high ~t_from (stage_waves ref_waves ~stages)
-  in
-  (* faulty pass *)
-  let faulty_net = Cml_defects.Inject.apply golden defect in
-  let _, waves = probed_run ~guide:ref_r (E.compile faulty_net) faulty_net ~tstop ~probes in
-  let faulty = H.profile ~nominal_low ~nominal_high ~t_from (stage_waves waves ~stages) in
-  let detector_wave = List.assoc "det.vout" waves in
-  let quiescent = proc.Cml_cells.Process.vgnd in
-  let timeline =
-    H.detector_timeline ~quiescent ~threshold:(quiescent -. 0.15) detector_wave
-  in
-  {
-    defect = Cml_defects.Defect.describe defect;
-    classes;
-    freq;
-    stages;
-    dut;
-    tstop;
-    nominal_low;
-    nominal_high;
-    nominal;
-    faulty;
-    timeline;
-    waves;
-    detector_wave;
-  }
-
-(* Diagnosis of a defect on a compiled [.bench] design: the "stages"
-   of the health profile are the attacked cell followed by every
-   primary output — there is no buffer chain, but the same
-   degraded-at-the-DUT / recovered-at-the-outputs reading applies.
-   The detector attaches to the attacked cell's output pair, exactly
-   as on the chain. *)
-let run_design ?tstop ?(classes = []) ~design ~dut ~defect () =
-  let module Cp = Cml_cells.Compile in
-  let builder = design.Cp.builder in
-  let proc = builder.Cml_cells.Builder.proc in
-  let freq = design.Cp.freq in
-  let tstop = match tstop with Some t -> t | None -> 2.0 /. freq in
-  let dut_out =
-    match Cp.find_cell design dut with
-    | Some d -> d
-    | None -> invalid_arg (Printf.sprintf "Diagnose.run_design: unknown cell %S" dut)
-  in
-  let det_vout =
-    Detector.attach_v1 builder ~name:"det" ~outputs:dut_out Detector.v1_default
-  in
-  let golden = builder.Cml_cells.Builder.net in
-  let monitored =
-    (dut, dut_out) :: List.filter (fun (nm, _) -> nm <> dut) design.Cp.outputs
+  let pair (nm, (d : Cml_cells.Builder.diff)) =
+    [ (nm ^ ".p", E.node_unknown d.p); (nm ^ ".n", E.node_unknown d.n) ]
   in
   let probes =
-    ("in.p", E.node_unknown design.Cp.input.Cml_cells.Builder.p)
-    :: ("in.n", E.node_unknown design.Cp.input.Cml_cells.Builder.n)
-    :: ("det.vout", E.node_unknown det_vout)
-    :: List.concat_map
-         (fun (nm, d) ->
-           [
-             (nm ^ ".p", E.node_unknown d.Cml_cells.Builder.p);
-             (nm ^ ".n", E.node_unknown d.Cml_cells.Builder.n);
-           ])
-         monitored
+    pair ("in", r.C.input) @ (("det.vout", E.node_unknown det_vout) :: List.concat_map pair monitored)
   in
   let t_from = tstop /. 2.0 in
-  let ref_r, ref_waves = probed_run (E.compile golden) golden ~tstop ~probes in
-  let final_name = fst (List.nth monitored (List.length monitored - 1)) in
-  let nominal_low, nominal_high =
-    Cml_wave.Measure.levels (List.assoc (final_name ^ ".p") ref_waves) ~t_from
-  in
   let monitor_waves ws = List.map (fun (nm, _) -> (nm, List.assoc (nm ^ ".p") ws)) monitored in
+  (* fault-free pass: nominal levels from the last monitored row and
+     the reference profile, plus a warm-start guide for the faulty
+     pass *)
+  let ref_r, ref_waves = probed_run (E.compile golden) golden ~tstop ~probes in
+  let last_row = fst (List.nth monitored (List.length monitored - 1)) in
+  let nominal_low, nominal_high =
+    Cml_wave.Measure.levels (List.assoc (last_row ^ ".p") ref_waves) ~t_from
+  in
   let nominal = H.profile ~nominal_low ~nominal_high ~t_from (monitor_waves ref_waves) in
+  (* faulty pass *)
   let faulty_net = Cml_defects.Inject.apply golden defect in
   let _, waves = probed_run ~guide:ref_r (E.compile faulty_net) faulty_net ~tstop ~probes in
   let faulty = H.profile ~nominal_low ~nominal_high ~t_from (monitor_waves waves) in
@@ -173,10 +86,10 @@ let run_design ?tstop ?(classes = []) ~design ~dut ~defect () =
   in
   {
     defect = Cml_defects.Defect.describe defect;
-    classes;
-    freq;
+    classes = [];
+    freq = r.C.freq;
     stages = List.length monitored;
-    dut = 1;
+    dut = (match r.C.target with C.Chain { dut; _ } -> dut | C.Bench _ -> 1);
     tstop;
     nominal_low;
     nominal_high;
@@ -186,14 +99,6 @@ let run_design ?tstop ?(classes = []) ~design ~dut ~defect () =
     waves;
     detector_wave;
   }
-
-let of_entry ?proc ?freq ?stages ?dut ?tstop (entry : Cml_defects.Campaign.entry) =
-  let classes =
-    match entry.Cml_defects.Campaign.outcome with
-    | Cml_defects.Campaign.Measured (_, fl) -> Cml_defects.Campaign.flag_labels fl
-    | Cml_defects.Campaign.Failed msg -> [ "failed: " ^ msg ]
-  in
-  run ?proc ?freq ?stages ?dut ?tstop ~classes ~defect:entry.Cml_defects.Campaign.defect ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON round trip.  Waveforms are deliberately not serialised (a

@@ -1,10 +1,10 @@
 (** Waveform-level diagnosis of a flagged defect — the drill-down a
     test engineer runs after a campaign flags a variant.  The defect
-    is re-simulated on the monitored chain (a variant-1 detector at
-    the DUT) with streaming probes on every stage output
-    ({!Cml_spice.Transient.observers}), the per-stage signal health
-    and healing depth are profiled against the fault-free chain
-    ({!Cml_wave.Health}), and the detector-response timeline of
+    is re-simulated on the monitored chain or compiled design (a
+    variant-1 detector at the DUT) with streaming probes on every
+    monitored output ({!Cml_spice.Transient.observers}), the per-stage
+    signal health and healing depth are profiled against the
+    fault-free circuit ({!Cml_wave.Health}), and the detector-response timeline of
     Figs. 7/8/10 is extracted.  Results serialise to a structured JSON
     record (["cml-dft-diagnosis/1"]) rendered by [cmldft report], and
     the probed waveforms dump to an analog VCD. *)
@@ -14,7 +14,7 @@ val schema : string
 
 type t = {
   defect : string;  (** {!Cml_defects.Defect.describe} of the diagnosed defect *)
-  classes : string list;  (** campaign classification labels, if known *)
+  classes : string list;  (** campaign classification labels; empty from {!run} *)
   freq : float;
   stages : int;
   dut : int;
@@ -32,52 +32,19 @@ type t = {
 }
 
 val run :
-  ?proc:Cml_cells.Process.t ->
-  ?freq:float ->
-  ?stages:int ->
-  ?dut:int ->
-  ?tstop:float ->
-  ?classes:string list ->
-  defect:Cml_defects.Defect.t ->
-  unit ->
-  t
-(** Diagnose [defect] on a chain of [stages] (default 8) at [freq]
-    (default 100 MHz) with the DUT at stage [dut] (default
-    {!Cml_cells.Chain.dut_stage}) — the campaign's default geometry,
-    so a flagged campaign entry re-simulates identically.  Two probed
-    transients run: fault-free (nominal levels + profile, warm-start
-    guide) and faulty.
+  ?tstop:float -> defect:Cml_defects.Defect.t -> Cml_defects.Campaign.resolved -> t
+(** Diagnose [defect] on a resolved campaign target
+    ({!Cml_defects.Campaign.resolve}): a variant-1 detector attaches to
+    the attacked instance's output pair, and the health-profile rows
+    are the target's monitored pairs — every stage of the chain, or
+    the attacked cell of a compiled design followed by every other
+    primary output (there "stage 1" is the attacked cell itself and
+    healing is read cell-to-outputs).  Two probed transients run:
+    fault-free (nominal levels from the last row, reference profile,
+    warm-start guide) and faulty.  [tstop] defaults to two stimulus
+    periods.  The detector devices are added to the target's netlist
+    in place, so resolve a fresh target per diagnosis.
     @raise Cml_spice.Engine.No_convergence on solver failure. *)
-
-val run_design :
-  ?tstop:float ->
-  ?classes:string list ->
-  design:Cml_cells.Compile.t ->
-  dut:string ->
-  defect:Cml_defects.Defect.t ->
-  unit ->
-  t
-(** Diagnose [defect] on a compiled [.bench] design: a variant-1
-    detector attaches to cell [dut]'s output pair, and the health
-    profile rows are the attacked cell followed by every primary
-    output (no chain, so "stage 1" is the DUT itself and healing is
-    read DUT-to-outputs).  Frequency and process come from the
-    design; [tstop] defaults to two stimulus periods.  The detector
-    devices are added to the design's netlist in place — compile a
-    fresh design per diagnosis.
-    @raise Invalid_argument when [dut] names no compiled cell.
-    @raise Cml_spice.Engine.No_convergence on solver failure. *)
-
-val of_entry :
-  ?proc:Cml_cells.Process.t ->
-  ?freq:float ->
-  ?stages:int ->
-  ?dut:int ->
-  ?tstop:float ->
-  Cml_defects.Campaign.entry ->
-  t
-(** {!run} on a campaign entry's defect, carrying its classification
-    labels ({!Cml_defects.Campaign.flag_labels}) into [classes]. *)
 
 exception Bad_diagnosis of string
 

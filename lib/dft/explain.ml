@@ -1,20 +1,20 @@
 (* The post-mortem pipeline behind `cmldft explain`: pick one variant
    out of a finished campaign (run manifest or run-events stream),
-   rebuild its faulty netlist from the recorded options, re-simulate
-   it with a solver-introspection recorder attached and distil the
-   recording into a Cml_telemetry.Postmortem document.
+   replay it from the recorded options (Campaign.replay) with a
+   solver-introspection recorder attached and distil the recording
+   into a Cml_telemetry.Postmortem document.
 
    The re-simulation is deliberately scalar and single-threaded — the
    whole document is a pure function of the source manifest, so the
    same input explains to byte-identical JSON at any --jobs. *)
 
 module E = Cml_spice.Engine
-module T = Cml_spice.Transient
 module I = Cml_spice.Introspect
 module N = Cml_spice.Netlist
 module J = Cml_telemetry.Json
 module M = Cml_telemetry.Manifest
 module PM = Cml_telemetry.Postmortem
+module C = Cml_defects.Campaign
 
 type selection = Auto | Nth of int | Named of string
 
@@ -120,33 +120,6 @@ let select ~selection m =
           (longest, Printf.sprintf "most accepted steps (%.0f)" (steps longest)))
 
 (* ------------------------------------------------------------------ *)
-(* Rebuilding the variant's circuit from the manifest options *)
-
-let req_option m key =
-  match List.assoc_opt key m.M.options with
-  | Some s -> s
-  | None -> fail "the source options carry no %S — cannot rebuild the circuit" key
-
-let req_float m key =
-  let s = req_option m key in
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail "option %S = %S is not a number" key s
-
-(* Pipe resistances are not in the options; harvest them back from the
-   variant names ("C-E pipe (4 kohm) on x3.q3") so Sites.enumerate
-   regenerates the exact candidate list the campaign ran. *)
-let pipe_values m =
-  let one v =
-    match Scanf.sscanf v.M.v_name "C-E pipe (%g kohm)" (fun r -> r) with
-    | r -> Some (r *. 1e3)
-    | exception _ -> None
-  in
-  match List.sort_uniq compare (List.filter_map one m.M.variants) with
-  | [] -> [ 4e3 ]
-  | vs -> vs
-
-(* ------------------------------------------------------------------ *)
 (* Attribution helpers *)
 
 (* Branch-current unknowns, labelled by the voltage source / VCVS that
@@ -216,60 +189,14 @@ let dt_point_budget = 120
 let explain ?(top = 8) ?(selection = Auto) ~source m =
   if m.M.kind <> "campaign" then
     fail "run kind %S: explain can only re-simulate campaign runs" m.M.kind;
-  if List.mem_assoc "bench" m.M.options then
-    fail
-      "compiled-design campaign (a \"bench\" option is present): explain can only rebuild the \
-       built-in buffer chain";
   let variant, why = select ~selection m in
-  let freq = req_float m "freq" in
-  let tstop = req_float m "tstop" in
-  let stages = int_of_float (req_float m "stages") in
-  let dut = int_of_float (req_float m "dut") in
-  let warm_start = req_option m "warm_start" <> "false" in
-  (* honour the campaign's Newton-iteration cap, if it ran with one —
-     the re-simulation must fail exactly where the original did *)
-  let engine_options =
-    match List.assoc_opt "max_iter" m.M.options with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n -> Some { E.default_options with E.max_iter = n }
-        | None -> fail "option \"max_iter\" = %S is not an integer" s)
-  in
-  let chain = Cml_cells.Chain.build ~stages ~freq () in
-  let golden = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
-  let prefix = Cml_cells.Chain.stage_name dut in
-  let candidates = Cml_defects.Sites.enumerate ~pipe_values:(pipe_values m) golden ~prefix in
-  let defect =
-    match
-      List.find_opt (fun d -> Cml_defects.Defect.describe d = variant.M.v_name) candidates
-    with
-    | Some d -> d
-    | None -> fail "variant %S matches no defect site of stage %s" variant.M.v_name prefix
-  in
-  let breakpoints = T.collect_breakpoints golden ~tstop in
-  (* same warm start the campaign used: the fault-free trajectory
-     seeds the variant's DC solve and rescues diverging steps *)
-  let guide =
-    if not warm_start then None
-    else
-      let sim0 = E.compile ?options:engine_options golden in
-      Some (T.run ~breakpoints sim0 golden (T.config ~tstop ~max_step:10e-12 ()))
-  in
-  let faulty =
-    match Cml_defects.Inject.apply golden defect with
-    | f -> f
-    | exception (Not_found | Invalid_argument _) ->
-        fail "defect %S no longer injects into the rebuilt chain" variant.M.v_name
-  in
-  let sim = E.compile ?options:engine_options faulty in
   let recorder = I.create ~label:variant.M.v_name () in
-  E.set_introspect sim (Some recorder);
-  let cfg = T.config ~tstop ~max_step:10e-12 ~record_every:0 () in
-  let outcome, tstats =
-    match T.run ?guide ~breakpoints sim faulty cfg with
-    | r -> ("completed", Some r.T.stats)
-    | exception E.No_convergence msg -> ("failed: " ^ msg, None)
+  let { C.entry; stats = tstats; sim; net = faulty } =
+    try C.replay ~introspect:recorder ~options:m.M.options variant.M.v_name
+    with C.Bad_target msg -> fail "%s" msg
+  in
+  let outcome =
+    match entry.C.outcome with C.Measured _ -> "completed" | C.Failed msg -> "failed: " ^ msg
   in
   (* ---- distil the recording ---- *)
   let net_name = unknown_name sim faulty in
@@ -391,7 +318,7 @@ let explain ?(top = 8) ?(selection = Auto) ~source m =
       lu_report;
   {
     PM.pm_variant = variant.M.v_name;
-    pm_classes = variant.M.v_classes;
+    pm_classes = C.entry_labels entry;
     pm_selection = why;
     pm_source = source;
     pm_git = m.M.git;

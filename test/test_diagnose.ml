@@ -9,7 +9,10 @@ module H = Cml_wave.Health
 let pipe3k = Cml_defects.Defect.Pipe { device = "x3.q3"; r = 3000.0 }
 
 (* one simulation shared by every test *)
-let record = lazy (D.run ~defect:pipe3k ())
+let record =
+  lazy
+    (D.run ~defect:pipe3k
+       Cml_defects.Campaign.(resolve ~freq:100e6 (Chain { stages = 8; dut = 3 })))
 
 let test_healing_depth () =
   let d = Lazy.force record in

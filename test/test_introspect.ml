@@ -11,6 +11,10 @@
    - `explain` is a pure function of its source manifest: two runs
      produce byte-identical post-mortem JSON, and the document
      round-trips through write/read;
+   - a replay is the run that was recorded: every variant of a chain
+     or `.bench` campaign replays its step and Newton counts and its
+     classes; the run options round-trip exactly and a `.bench` file
+     edited after the run is refused;
    - trend rendering says so explicitly when there is no perf history
      yet. *)
 
@@ -22,6 +26,8 @@ module Sp = Cml_numerics.Sparse
 module PM = Cml_telemetry.Postmortem
 module Json = Cml_telemetry.Json
 module D = Cml_defects.Defect
+module C = Cml_defects.Campaign
+module M = Cml_telemetry.Manifest
 
 let build_chain ~stages ~freq =
   let chain = Cml_cells.Chain.build ~stages ~freq () in
@@ -185,9 +191,45 @@ let test_explain_deterministic_and_blaming () =
           Alcotest.(check string) "render identical after round-trip" (PM.render_text pm)
             (PM.render_text back)))
 
+(* Explain variant [i] of the campaign manifest at [path]: the replay
+   reports the step and Newton counts and the classes the manifest
+   recorded for it. *)
+let check_replays path i (v : M.variant) =
+  let pm = Cml_dft.Explain.explain_path ~selection:(Cml_dft.Explain.Nth i) path in
+  List.iter
+    (fun key ->
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "%s: %s" v.M.v_name key)
+        (List.assoc_opt key v.M.v_metrics)
+        (List.assoc_opt key pm.PM.pm_stats))
+    [ "accepted_steps"; "newton_iters" ];
+  Alcotest.(check (list string)) (v.M.v_name ^ ": classes") v.M.v_classes pm.PM.pm_classes
+
+let with_temp_files f =
+  let paths = ref [] in
+  let temp ext =
+    let p = Filename.temp_file "cmldft_replay" ext in
+    paths := p :: !paths;
+    p
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !paths)
+    (fun () -> f temp)
+
+let one_and = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
+
+(* A campaign over the one-AND design written to a temporary .bench
+   file, attacking cell y; returns the manifest path. *)
+let bench_campaign temp ?defects () =
+  let bench = temp ".bench" and path = temp ".json" in
+  Out_channel.with_open_bin bench (fun oc -> output_string oc one_and);
+  let r = C.resolve ~freq:200e6 ~pipe_values:[ 4e3 ] (C.Bench { path = bench; cell = Some "y" }) in
+  ignore (C.run_resolved ~tstop:10e-9 ~jobs:1 ~manifest:path ?defects r);
+  (bench, path)
+
 (* The re-simulation replays the run that happened: for every variant
    of a warm-started campaign, explain reports the step and Newton
-   counts the manifest recorded for it. *)
+   counts and the classes the manifest recorded for it. *)
 let test_explain_replays_campaign () =
   let path = Filename.temp_file "cmldft_replay" ".json" in
   Fun.protect
@@ -210,17 +252,66 @@ let test_explain_replays_campaign () =
       let m = Cml_telemetry.Manifest.read ~path in
       List.iteri
         (fun i (v : Cml_telemetry.Manifest.variant) ->
-          let pm = Cml_dft.Explain.explain_path ~selection:(Cml_dft.Explain.Nth i) path in
-          List.iter
-            (fun key ->
-              Alcotest.(check (option (float 0.0)))
-                (Printf.sprintf "%s: %s" v.Cml_telemetry.Manifest.v_name key)
-                (List.assoc_opt key v.Cml_telemetry.Manifest.v_metrics)
-                (List.assoc_opt key pm.PM.pm_stats))
-            [ "accepted_steps"; "newton_iters" ])
+          check_replays path i v)
         m.Cml_telemetry.Manifest.variants;
       Alcotest.(check int) "every variant replayed" (List.length defects)
         (List.length m.Cml_telemetry.Manifest.variants))
+
+let test_explain_replays_bench_campaign () =
+  with_temp_files (fun temp ->
+      let _, path = bench_campaign temp () in
+      let m = M.read ~path in
+      Alcotest.(check bool) "a digest is recorded" true
+        (List.mem_assoc "bench_digest" m.M.options);
+      Alcotest.(check bool) "variants to replay" true (m.M.variants <> []);
+      List.iteri (check_replays path) m.M.variants)
+
+let test_explain_refuses_edited_bench () =
+  with_temp_files (fun temp ->
+      let defect = D.Pipe { device = "y.q3"; r = 4e3 } in
+      let bench, path = bench_campaign temp ~defects:[ defect ] () in
+      ignore (Cml_dft.Explain.explain_path path);
+      Out_channel.with_open_bin bench (fun oc -> output_string oc (one_and ^ "# edited\n"));
+      match Cml_dft.Explain.explain_path path with
+      | _ -> Alcotest.fail "expected Unexplainable after the .bench file changed"
+      | exception Cml_dft.Explain.Unexplainable _ -> ())
+
+(* The command line's `campaign --dut x5` path: the target names stage
+   5, the run measures and records stage 5, and explain replays it. *)
+let test_chain_campaign_records_dut () =
+  with_temp_files (fun temp ->
+      let path = temp ".json" in
+      let r = C.resolve ~freq:100e6 (C.target (Some "x5")) in
+      let defects = [ D.Pipe { device = "x5.q3"; r = 4e3 } ] in
+      ignore (C.run_resolved ~jobs:1 ~manifest:path ~defects r);
+      let m = M.read ~path in
+      Alcotest.(check (option string)) "dut recorded" (Some "5") (List.assoc_opt "dut" m.M.options);
+      List.iteri (check_replays path) m.M.variants)
+
+(* writer -> reader is the identity for both target kinds, with floats
+   that %g would round *)
+let prop_spec_round_trip =
+  let open QCheck2.Gen in
+  let awkward = map (fun x -> x *. (1.0 +. 1e-13)) (float_range 1e-3 1e9) in
+  let target =
+    oneof
+      [
+        map2 (fun stages dut -> (Some (C.Chain { stages; dut }), None)) (int_range 1 64)
+          (int_range 1 64);
+        map2
+          (fun path cell -> (Some (C.Bench { path; cell = Some cell }), Some (Digest.to_hex (Digest.string path))))
+          (string_size ~gen:(char_range 'a' 'z') (int_range 1 12))
+          (string_size ~gen:(char_range 'a' 'z') (int_range 1 6));
+      ]
+  in
+  QCheck2.Test.make ~name:"run options round-trip through writer and reader" ~count:200
+    (tup7 target awkward awkward bool (opt (int_range 1 200)) (int_range 0 500)
+       (list_size (int_range 0 4) awkward))
+    (fun ((target, digest), freq, tstop, warm_start, max_iter, defects, pipe_values) ->
+      let spec =
+        { C.target; freq; tstop; warm_start; max_iter; defects; pipe_values; digest }
+      in
+      C.spec_of_options (C.spec_options spec) = spec)
 
 let test_explain_rejects_foreign_sources () =
   let check_fails source =
@@ -228,7 +319,16 @@ let test_explain_rejects_foreign_sources () =
     | _ -> Alcotest.fail "expected Unexplainable"
     | exception Cml_dft.Explain.Unexplainable _ -> ()
   in
-  check_fails "x"
+  check_fails "x";
+  (* a campaign whose options name nothing to rebuild *)
+  let bare =
+    M.create ~kind:"campaign"
+      ~variants:[ { M.v_name = "c-e short on x3.q3"; v_classes = []; v_seconds = 0.0; v_metrics = [] } ]
+      ()
+  in
+  match Cml_dft.Explain.explain ~source:"bare" bare with
+  | _ -> Alcotest.fail "expected Unexplainable"
+  | exception Cml_dft.Explain.Unexplainable _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* trend: explicit no-history rendering *)
@@ -261,8 +361,15 @@ let () =
             test_explain_deterministic_and_blaming;
           Alcotest.test_case "replays every variant of a campaign" `Slow
             test_explain_replays_campaign;
+          Alcotest.test_case "replays every variant of a .bench campaign" `Slow
+            test_explain_replays_bench_campaign;
+          Alcotest.test_case "refuses a .bench file edited after the run" `Slow
+            test_explain_refuses_edited_bench;
+          Alcotest.test_case "chain campaign on x5 records and replays x5" `Slow
+            test_chain_campaign_records_dut;
           Alcotest.test_case "rejects non-campaign sources" `Quick
             test_explain_rejects_foreign_sources;
+          QCheck_alcotest.to_alcotest prop_spec_round_trip;
         ] );
       ( "trend", [ Alcotest.test_case "no history yet" `Quick test_trend_no_history ] );
     ]
