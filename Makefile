@@ -102,7 +102,8 @@ compile-smoke: build
 # events to a JSONL file alongside its manifest, replay the stream
 # with `cmldft watch --once`, feed the manifest to `cmldft report`
 # over stdin, and run the cross-run trend analyzer over the perf
-# history plus the fresh manifest.
+# history plus the fresh manifest.  A small Monte-Carlo run goes
+# through the same stream-and-manifest loop.
 watch-smoke: build
 	$(eval WATCH_DIR := $(shell mktemp -d))
 	$(DUNE) exec --no-build bin/cmldft.exe -- campaign --jobs 2 \
@@ -111,6 +112,10 @@ watch-smoke: build
 	$(DUNE) exec --no-build bin/cmldft.exe -- report - < $(WATCH_DIR)/manifest.json
 	$(DUNE) exec --no-build bin/cmldft.exe -- report --trend BENCH_spice.json \
 	  $(WATCH_DIR)/manifest.json
+	$(DUNE) exec --no-build bin/cmldft.exe -- mc --samples 8 --jobs 2 \
+	  --events $(WATCH_DIR)/mc_events.jsonl --manifest $(WATCH_DIR)/mc_manifest.json >/dev/null
+	$(DUNE) exec --no-build bin/cmldft.exe -- watch --once $(WATCH_DIR)/mc_events.jsonl
+	$(DUNE) exec --no-build bin/cmldft.exe -- report - < $(WATCH_DIR)/mc_manifest.json
 	rm -rf $(WATCH_DIR)
 
 # End-to-end smoke of the post-mortem pipeline: run a deliberately
@@ -154,8 +159,9 @@ explain-smoke: build
 # uncaught exception: an empty file (nothing to compile) makes
 # `campaign`, `op --bench` and `plan` exit 2, and a flip-flop-only file
 # (nothing to attack) makes `campaign` exit 2.  So do a chain campaign
-# on an instance that is no stage and one whose manifest directory
-# does not exist (refused before the run starts).  `op` and `plan` can
+# on an instance that is no stage, and every run whose manifest, trace
+# or event-stream directory does not exist (refused before the run
+# starts).  `op` and `plan` can
 # still work on the flip-flop-only design, so there they only must not
 # crash.  The inputs are written to a temporary directory, not
 # committed.
@@ -167,7 +173,9 @@ bench-errors-smoke: build
 	for run in "2 campaign $$dir/empty.bench" "2 op --bench $$dir/empty.bench" \
 	    "2 plan $$dir/empty.bench" "2 campaign $$dir/dff_only.bench" \
 	    "any op --bench $$dir/dff_only.bench" "any plan $$dir/dff_only.bench" \
-	    "2 campaign --dut foo" "2 campaign --manifest $$dir/missing/m.json"; do \
+	    "2 campaign --dut foo" "2 campaign --manifest $$dir/missing/m.json" \
+	    "2 mc --manifest $$dir/missing/m.json" "2 campaign --trace $$dir/missing/t.json" \
+	    "2 plan --events $$dir/missing/e.jsonl"; do \
 	  set -- $$run; want=$$1; shift; \
 	  $(DUNE) exec --no-build bin/cmldft.exe -- "$$@" > $$dir/out.txt 2>&1; code=$$?; \
 	  if grep -q "internal error" $$dir/out.txt || [ $$code -gt 2 ] \

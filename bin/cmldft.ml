@@ -135,17 +135,19 @@ let events_arg =
   in
   Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
 
-(* [with_telemetry ?events ~trace ~metrics f]: enable tracing when
-   [--trace] was given and install the run-event sink when [--events]
-   was, run [f], then drain the spans into the Chrome trace and the
-   registry delta into the metrics file.  The sinks are written (and
-   the event stream closed) even when [f] raises, so a crashed
-   campaign still leaves its partial trace and stream behind. *)
-let with_telemetry ?(events = None) ~trace ~metrics f =
+(* [with_telemetry ~cmd ?events ?manifest ~trace ~metrics f]: check
+   that every sink path is writable (exit 2 before the run, not after
+   it), enable tracing when [--trace] was given and install the
+   run-event sink when [--events] was, run [f], then drain the spans
+   into the Chrome trace and the registry delta into the metrics file.
+   The sinks are written (and the event stream closed) even when [f]
+   raises, so a crashed campaign still leaves its partial trace and
+   stream behind.  [manifest] is only checked: the run writes it. *)
+let with_telemetry ~cmd ?events ?manifest ~trace ~metrics f =
+  List.iter (check_writable ~cmd)
+    [ trace; metrics; manifest; (if events = Some "-" then None else events) ];
   if trace <> None then Cml_telemetry.Trace.set_enabled true;
-  (match events with
-  | None -> ()
-  | Some path -> Cml_telemetry.Events.(install (open_sink path)));
+  Option.iter (fun path -> Cml_telemetry.Events.(install (open_sink path))) events;
   let snap0 = Cml_telemetry.Metrics.snapshot () in
   let finish () =
     Cml_telemetry.Events.close ();
@@ -170,27 +172,6 @@ let with_telemetry ?(events = None) ~trace ~metrics f =
       finish ();
       raise e
 
-(* Minimal run framing for commands without a variant loop of their
-   own (plan, diagnose): with a sink installed, bracket the work in
-   run_start/run_end so the stream is a complete document. *)
-let with_run_events ~kind f =
-  if not (Cml_telemetry.Events.installed ()) then f ()
-  else begin
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let ev = Cml_telemetry.Events.run_start ~kind ~total:0 () in
-    let finish () =
-      let wall_s = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-      Cml_telemetry.Events.finish ev ~classes:[] ~wall_s ~utilization:[]
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-  end
-
 (* End-of-run pool attribution table (campaign, mc). *)
 let print_utilization ~wall_s rows =
   if rows <> [] then begin
@@ -212,7 +193,7 @@ let chain_cmd =
     Arg.(value & opt int 8 & info [ "n"; "stages" ] ~docv:"N" ~doc:"Chain length.")
   in
   let run freq pipe stages csv probe vcd trace metrics =
-    with_telemetry ~trace ~metrics @@ fun () ->
+    with_telemetry ~cmd:"chain" ~trace ~metrics @@ fun () ->
     let chain = Cml_cells.Chain.build ~stages ~freq () in
     let golden = chain.Cml_cells.Chain.builder.B.net in
     let net =
@@ -288,7 +269,7 @@ let detector_cmd =
     Arg.(value & opt float 120e-9 & info [ "t"; "tstop" ] ~docv:"S" ~doc:"Simulated time.")
   in
   let run freq pipe variant tstop csv vcd trace metrics =
-    with_telemetry ~trace ~metrics @@ fun () ->
+    with_telemetry ~cmd:"detector" ~trace ~metrics @@ fun () ->
     let proc = Cml_cells.Process.default in
     let v =
       match variant with
@@ -424,9 +405,7 @@ let campaign_cmd =
   in
   let run freq bench dut jobs no_warm_start max_iter trace metrics manifest events =
     apply_jobs jobs;
-    check_writable ~cmd:"campaign" manifest;
-    if events <> Some "-" then check_writable ~cmd:"campaign" events;
-    with_telemetry ~events ~trace ~metrics @@ fun () ->
+    with_telemetry ~cmd:"campaign" ?events ?manifest ~trace ~metrics @@ fun () ->
     let module C = Cml_defects.Campaign in
     let r = resolving ~cmd:"campaign" (fun () -> C.resolve ~freq (C.target ?bench dut)) in
     let defects = List.length r.C.defects and jobs = Cml_runtime.Pool.default_jobs () in
@@ -489,8 +468,8 @@ let diagnose_cmd =
     Arg.(value & flag & info [ "plot" ] ~doc:"Render ASCII plots of the DUT and detector waves.")
   in
   let run freq pipe bench stages dut cell json vcd plot trace metrics events =
-    with_telemetry ~events ~trace ~metrics @@ fun () ->
-    with_run_events ~kind:"diagnose" @@ fun () ->
+    with_telemetry ~cmd:"diagnose" ?events ~trace ~metrics @@ fun () ->
+    Cml_runtime.Run.frame ~kind:"diagnose" @@ fun () ->
     let module C = Cml_defects.Campaign in
     let target =
       match bench with None -> C.Chain { stages; dut } | Some path -> C.Bench { path; cell }
@@ -577,7 +556,7 @@ let mc_cmd =
   in
   let run samples seed gates jobs no_warm_start trace metrics manifest events =
     apply_jobs jobs;
-    with_telemetry ~events ~trace ~metrics @@ fun () ->
+    with_telemetry ~cmd:"mc" ?events ?manifest ~trace ~metrics @@ fun () ->
     let r =
       Dft.Montecarlo.run ~n:gates ~warm_start:(not no_warm_start) ?manifest ~samples ~seed ()
     in
@@ -683,8 +662,8 @@ let op_cmd =
     Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"FILE.bench" ~doc)
   in
   let run pipe stages bench events =
-    with_telemetry ~events ~trace:None ~metrics:None @@ fun () ->
-    with_run_events ~kind:"op" @@ fun () ->
+    with_telemetry ~cmd:"op" ?events ~trace:None ~metrics:None @@ fun () ->
+    Cml_runtime.Run.frame ~kind:"op" @@ fun () ->
     match bench with
     | Some path ->
         with_bench ~cmd:"op" ~path (fun () ->
@@ -842,8 +821,8 @@ let lint_cmd =
   let run files json fail_on rules max_share jobs events =
     apply_jobs jobs;
     let code =
-      with_telemetry ~events ~trace:None ~metrics:None @@ fun () ->
-      with_run_events ~kind:"lint" @@ fun () -> lint_code files json fail_on rules max_share
+      with_telemetry ~cmd:"lint" ?events ~trace:None ~metrics:None @@ fun () ->
+      Cml_runtime.Run.frame ~kind:"lint" @@ fun () -> lint_code files json fail_on rules max_share
     in
     if code <> 0 then exit code
   in
@@ -1028,8 +1007,8 @@ let plan_cmd =
       events =
     apply_jobs jobs;
     let code =
-      with_telemetry ~events ~trace ~metrics @@ fun () ->
-      with_run_events ~kind:"plan" @@ fun () ->
+      with_telemetry ~cmd:"plan" ?events ~trace ~metrics @@ fun () ->
+      Cml_runtime.Run.frame ~kind:"plan" @@ fun () ->
       plan_code file scenario stages bits limit derate samples seed budget json
     in
     if code <> 0 then exit code
@@ -1186,8 +1165,8 @@ let explain_cmd =
   in
   let run file variant defect json top jobs events trace metrics =
     apply_jobs jobs;
-    with_telemetry ~events ~trace ~metrics @@ fun () ->
-    with_run_events ~kind:"explain" @@ fun () ->
+    with_telemetry ~cmd:"explain" ?events ~trace ~metrics @@ fun () ->
+    Cml_runtime.Run.frame ~kind:"explain" @@ fun () ->
     let selection =
       match (variant, defect) with
       | Some _, Some _ ->

@@ -398,35 +398,6 @@ let flag_labels f =
 
 let entry_labels e = match e.outcome with Failed _ -> [ "failed" ] | Measured (_, fl) -> flag_labels fl
 
-let variant_of_entry entry ~seconds ~stats =
-  let meas =
-    match entry.outcome with
-    | Failed _ -> []
-    | Measured (m, _) ->
-        [
-          ("dut_vlow", m.dut_vlow);
-          ("dut_swing", m.dut_swing);
-          ("final_swing", m.final_swing);
-          ("supply_current", m.supply_current);
-        ]
-  in
-  let healing =
-    match entry.outcome with
-    | Measured ({ healing_depth = Some d; _ }, _) -> [ ("healing_depth", float_of_int d) ]
-    | Measured _ | Failed _ -> []
-  in
-  let solver =
-    match stats with
-    | None -> []
-    | Some s -> E.counter_fields ~groups:[ E.Step; E.Newton; E.Load ] s
-  in
-  {
-    Cml_telemetry.Manifest.v_name = Defect.describe entry.defect;
-    v_classes = entry_labels entry;
-    v_seconds = seconds;
-    v_metrics = meas @ healing @ solver;
-  }
-
 (* Healing label of one measured entry: how many stages a degraded
    variant needed to recover ("depth=N"), "unhealed" for degradations
    that persist to the chain output, "clean" otherwise.  Shared by the
@@ -440,43 +411,36 @@ let healing_label e =
       | Some _, Some d -> Some (Printf.sprintf "depth=%d" d)
       | Some _, None -> Some "unhealed")
 
-let healing_histogram entries =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match healing_label e with
-      | None -> ()
-      | Some l -> Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-    entries;
-  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
-
-(* The run-event view of a finished variant (index-addressed so the
-   stream reassembles in run order whatever domain ran it). *)
-let event_variant ~idx entry ~seconds ~stats =
+(* The run driver's view of a finished variant: its labels and
+   healing, its accepted steps, and the flat numbers of the manifest
+   (measurements and solver counters; none for a failed variant). *)
+let report entry ~stats =
+  let meas =
+    match entry.outcome with
+    | Failed _ -> []
+    | Measured (m, _) ->
+        [
+          ("dut_vlow", m.dut_vlow);
+          ("dut_swing", m.dut_swing);
+          ("final_swing", m.final_swing);
+          ("supply_current", m.supply_current);
+        ]
+        @ Option.fold ~none:[]
+            ~some:(fun d -> [ ("healing_depth", float_of_int d) ])
+            m.healing_depth
+  in
+  let solver =
+    match stats with
+    | None -> []
+    | Some s -> E.counter_fields ~groups:[ E.Step; E.Newton; E.Load ] s
+  in
   {
-    Cml_telemetry.Events.ev_idx = idx;
-    ev_name = Defect.describe entry.defect;
-    ev_classes = entry_labels entry;
-    ev_healing = healing_label entry;
-    ev_failed = (match entry.outcome with Failed _ -> true | Measured _ -> false);
-    ev_steps = (match stats with Some s -> s.E.accepted_steps | None -> 0);
-    ev_seconds = seconds;
+    Cml_runtime.Run.classes = entry_labels entry;
+    healing = healing_label entry;
+    failed = (match entry.outcome with Failed _ -> true | Measured _ -> false);
+    steps = (match stats with Some s -> s.E.accepted_steps | None -> 0);
+    metrics = meas @ solver;
   }
-
-(* Per-domain utilization rows for this run: pool counters diffed
-   against the snapshot taken at run start, busy ratio against the
-   run's wall clock (also published as gauges). *)
-let utilization_rows ~wall_s before =
-  List.map
-    (fun (dom, (d : Cml_runtime.Pool.domain_stats)) ->
-      Cml_telemetry.Events.util_row ~wall_s ~domain:dom ~busy_ns:d.Cml_runtime.Pool.busy_ns
-        ~items:d.Cml_runtime.Pool.items ~longest_stall_ns:d.Cml_runtime.Pool.longest_stall_ns)
-    (Cml_runtime.Pool.utilization_since before)
-
-let to_manifest ?(options = []) t =
-  let spans = Cml_telemetry.Trace.aggregate (Cml_telemetry.Trace.peek ()) in
-  Cml_telemetry.Manifest.create ~options ~healing:(healing_histogram t.entries)
-    ~variants:t.variants ~metrics:t.metrics ~spans ~kind:"campaign" ()
 
 (* Simulate the golden netlist once as the reference, and return its
    measurement with the function that runs one variant against it:
@@ -537,62 +501,32 @@ let campaign ~design ~proc ?jobs ~preflight ?manifest ~context ?target ?digest ~
       digest;
     }
   in
-  let snap0 = Cml_telemetry.Metrics.snapshot () in
-  let span = Cml_telemetry.Trace.start () in
-  if preflight then
-    Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
-  let reference, run_variant = prepare ~design ~proc ~spec golden in
-  let run_options = context @ spec_options spec in
-  let ev_run =
-    Cml_telemetry.Events.run_start ~kind:"campaign" ~total:(List.length defects) ?jobs
-      ~options:run_options ()
+  let setup () =
+    if preflight then
+      Cml_analysis.Lint.preflight_netlist ~what:"campaign golden netlist" golden;
+    prepare ~design ~proc ~spec golden
   in
-  let util0 = Cml_runtime.Pool.utilization () in
-  Cml_runtime.Pool.reset_stall_watermarks ();
-  let wall_t0 = Cml_telemetry.Clock.now_ns () in
   (* one compiled sim per defect ([Inject.apply] copies the netlist,
      [simulate] compiles its own engine), so tasks share only
      read-only state and can run on worker domains *)
-  let run_one (idx, defect) =
-    Cml_telemetry.Progress.variant_start (Defect.describe defect);
-    let tok = Cml_telemetry.Trace.start () in
-    let t0 = Cml_telemetry.Clock.now_ns () in
-    let entry, stats, _ = run_variant defect in
-    let seconds = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) t0) in
-    Cml_telemetry.Trace.finish ~cat:"campaign"
-      ~args:
-        (if tok >= 0L then [ ("defect", Cml_telemetry.Trace.S (Defect.describe defect)) ]
-         else [])
-      "variant" tok;
-    Cml_telemetry.Progress.variant_finish
-      ~failed:(match entry.outcome with Failed _ -> true | Measured _ -> false);
-    Cml_telemetry.Events.variant_done ev_run (event_variant ~idx entry ~seconds ~stats);
-    (entry, variant_of_entry entry ~seconds ~stats)
+  let variant (_, run_variant) defect =
+    let entry, stats, _ = run_variant ?introspect:None defect in
+    (entry, report entry ~stats)
   in
-  let results =
-    Cml_runtime.Pool.parallel_list_map ?jobs run_one (List.mapi (fun i d -> (i, d)) defects)
+  let r =
+    Cml_runtime.Run.run ~kind:"campaign" ~variant_span:"variant"
+      ~span_args:(fun d -> [ ("defect", Cml_telemetry.Trace.S (Defect.describe d)) ])
+      ?jobs ~options:(context @ spec_options spec) ?manifest ~name:Defect.describe ~setup
+      ~variant defects
   in
-  Cml_telemetry.Trace.finish ~cat:"campaign" "campaign" span;
-  let wall_s = Cml_telemetry.Clock.ns_to_s (Int64.sub (Cml_telemetry.Clock.now_ns ()) wall_t0) in
-  let utilization = utilization_rows ~wall_s util0 in
-  let metrics = Cml_telemetry.Metrics.diff snap0 (Cml_telemetry.Metrics.snapshot ()) in
-  let t =
-    {
-      reference;
-      entries = List.map fst results;
-      variants = List.map snd results;
-      metrics;
-      utilization;
-      wall_s;
-    }
-  in
-  Cml_telemetry.Events.finish ev_run
-    ~classes:(Cml_telemetry.Manifest.class_histogram (to_manifest t))
-    ~wall_s ~utilization;
-  (match manifest with
-  | None -> ()
-  | Some path -> Cml_telemetry.Manifest.write ~path (to_manifest ~options:run_options t));
-  t
+  {
+    reference = fst r.setup;
+    entries = r.results;
+    variants = r.variants;
+    metrics = r.metrics;
+    utilization = r.utilization;
+    wall_s = r.wall_s;
+  }
 
 let run_resolved ?tstop ?jobs ?(preflight = true) ?(warm_start = true) ?max_iter ?manifest
     ?defects (r : resolved) =

@@ -109,9 +109,8 @@ type threshold_row = {
 }
 
 let amplitude_thresholds ?(proc = Cml_cells.Process.default) ?(detect_drop = 0.15) ?jobs
-    ?preflight ?(warm_start = true) ?manifest ~variant ~freq ~pipe_values ~tstop () =
-  let snap0 = Tel.Metrics.snapshot () in
-  let span = Tel.Trace.start () in
+    ?preflight ?(warm_start = true) ~variant ~freq ~pipe_values ~tstop () =
+  Tel.Trace.with_span ~cat:"experiment" "amplitude_thresholds" @@ fun () ->
   (* a pipe defect adds one resistor across existing nodes, so the
      fault-free monitored chain is layout-compatible with every row
      and its trajectory can seed all of their Newton solves *)
@@ -125,51 +124,19 @@ let amplitude_thresholds ?(proc = Cml_cells.Process.default) ?(detect_drop = 0.1
     else None
   in
   let row pipe_r =
-    let tok = Tel.Trace.start () in
-    let t0 = Tel.Clock.now_ns () in
+    Tel.Trace.with_span ~cat:"experiment" "variant" @@ fun () ->
     let resp =
       detector_response ~proc ?preflight ?guide ~variant ~freq ~pipe:(Some pipe_r) ~tstop ()
     in
-    let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
-    Tel.Trace.finish ~cat:"experiment" "variant" tok;
-    ( {
-        pipe_r;
-        amplitude = resp.excursion;
-        drop = resp.vout_drop;
-        detected = resp.vout_drop > detect_drop;
-      },
-      seconds )
+    {
+      pipe_r;
+      amplitude = resp.excursion;
+      drop = resp.vout_drop;
+      detected = resp.vout_drop > detect_drop;
+    }
   in
   (* every row builds and simulates its own monitored chain *)
-  let timed_rows = Cml_runtime.Pool.parallel_list_map ?jobs row pipe_values in
-  let rows = List.map fst timed_rows in
-  Tel.Trace.finish ~cat:"experiment" "amplitude_thresholds" span;
-  (match manifest with
-  | None -> ()
-  | Some path ->
-      let metrics = Tel.Metrics.diff snap0 (Tel.Metrics.snapshot ()) in
-      let variants =
-        List.map
-          (fun (r, seconds) ->
-            {
-              Tel.Manifest.v_name = Printf.sprintf "pipe=%g" r.pipe_r;
-              v_classes = [ (if r.detected then "detected" else "undetected") ];
-              v_seconds = seconds;
-              v_metrics = [ ("amplitude", r.amplitude); ("drop", r.drop) ];
-            })
-          timed_rows
-      in
-      let spans = Tel.Trace.aggregate (Tel.Trace.peek ()) in
-      Tel.Manifest.write ~path
-        (Tel.Manifest.create
-           ~options:
-             [
-               ("freq", Printf.sprintf "%g" freq);
-               ("tstop", Printf.sprintf "%g" tstop);
-               ("detect_drop", Printf.sprintf "%g" detect_drop);
-               ("warm_start", string_of_bool warm_start);
-             ]
-           ~variants ~metrics ~spans ~kind:"sweep" ()));
+  let rows = Cml_runtime.Pool.parallel_list_map ?jobs row pipe_values in
   let min_detected =
     List.fold_left
       (fun acc r ->
@@ -179,11 +146,10 @@ let amplitude_thresholds ?(proc = Cml_cells.Process.default) ?(detect_drop = 0.1
   in
   (rows, min_detected)
 
-let swing_vs_frequency ?(proc = Cml_cells.Process.default) ?jobs ?(preflight = true) ?manifest
-    ~pipe ~freqs () =
-  let snap0 = Tel.Metrics.snapshot () in
-  let span = Tel.Trace.start () in
+let swing_vs_frequency ?(proc = Cml_cells.Process.default) ?jobs ?(preflight = true) ~pipe
+    ~freqs () =
   let one freq =
+    Tel.Trace.with_span ~cat:"experiment" "variant" @@ fun () ->
     let chain = Cml_cells.Chain.build ~proc ~stages:3 ~freq () in
     let builder = chain.Cml_cells.Chain.builder in
     if preflight then
@@ -207,42 +173,8 @@ let swing_vs_frequency ?(proc = Cml_cells.Process.default) ?jobs ?(preflight = t
     let lo, hi = Cml_wave.Measure.extremes w_p ~t_from:(tstop /. 2.0) in
     (freq, lo, hi)
   in
-  let timed_one freq =
-    let tok = Tel.Trace.start () in
-    let t0 = Tel.Clock.now_ns () in
-    let r = one freq in
-    let seconds = Tel.Clock.ns_to_s (Int64.sub (Tel.Clock.now_ns ()) t0) in
-    Tel.Trace.finish ~cat:"experiment" "variant" tok;
-    (r, seconds)
-  in
-  let timed_rows = Cml_runtime.Pool.parallel_list_map ?jobs timed_one freqs in
-  Tel.Trace.finish ~cat:"experiment" "swing_vs_frequency" span;
-  (match manifest with
-  | None -> ()
-  | Some path ->
-      let metrics = Tel.Metrics.diff snap0 (Tel.Metrics.snapshot ()) in
-      let variants =
-        List.map
-          (fun ((freq, lo, hi), seconds) ->
-            {
-              Tel.Manifest.v_name = Printf.sprintf "freq=%g" freq;
-              v_classes = [];
-              v_seconds = seconds;
-              v_metrics = [ ("vlow", lo); ("vhigh", hi); ("swing", hi -. lo) ];
-            })
-          timed_rows
-      in
-      let spans = Tel.Trace.aggregate (Tel.Trace.peek ()) in
-      Tel.Manifest.write ~path
-        (Tel.Manifest.create
-           ~options:
-             [
-               ( "pipe",
-                 match pipe with Some r -> Printf.sprintf "%g" r | None -> "none" );
-               ("freqs", string_of_int (List.length freqs));
-             ]
-           ~variants ~metrics ~spans ~kind:"sweep" ()));
-  List.map fst timed_rows
+  Tel.Trace.with_span ~cat:"experiment" "swing_vs_frequency" @@ fun () ->
+  Cml_runtime.Pool.parallel_list_map ?jobs one freqs
 
 type hysteresis = {
   sweep : (float * float * float) list;

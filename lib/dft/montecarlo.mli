@@ -52,6 +52,3 @@ val run :
 
     [manifest] writes a {!Cml_telemetry.Manifest} JSON document to the
     given path after the run. *)
-
-val to_manifest :
-  ?seed:int -> ?options:(string * string) list -> result -> Cml_telemetry.Manifest.t

@@ -1,5 +1,5 @@
-(** Run manifests: a machine-readable record of a campaign /
-    Monte-Carlo run / characterisation sweep — tool and git revision,
+(** Run manifests: a machine-readable record of a campaign or a
+    Monte-Carlo run — tool and git revision,
     options and seed, per-variant classification + metrics, a
     metrics-registry snapshot and a span summary — so results are
     reproducible and diffable.  Rendered for humans by
@@ -15,14 +15,14 @@ val schema : string
 (** ["cml-dft-manifest/1"]. *)
 
 type variant = {
-  v_name : string;  (** defect / sample / sweep-point description *)
+  v_name : string;  (** defect / sample description *)
   v_classes : string list;  (** classification labels; [[]] reads as benign *)
   v_seconds : float;  (** wall-clock of this variant's simulation *)
   v_metrics : (string * float) list;  (** flat per-variant numbers (solver stats, measurements) *)
 }
 
 type t = {
-  kind : string;  (** ["campaign"], ["montecarlo"], ["sweep"], ... *)
+  kind : string;  (** ["campaign"], ["montecarlo"] *)
   tool : string;
   git : string;  (** [git describe --always --dirty], or ["unknown"] *)
   created : string;  (** UTC ISO-8601, informative only *)
@@ -30,7 +30,7 @@ type t = {
   options : (string * string) list;
   healing : (string * int) list;
       (** healing-depth histogram ("clean" / "depth=N" / "unhealed",
-          see {!Cml_defects.Campaign.healing_histogram}); optional in
+          counted by the run driver from the variants' reports); optional in
           the JSON — absent reads as [[]], and the member is omitted
           when empty, so the schema stays ["cml-dft-manifest/1"] *)
   variants : variant list;
@@ -64,9 +64,12 @@ val read : path:string -> t
 
 (** {1 Report views} *)
 
-val class_histogram : t -> (string * int) list
+val histogram : variant list -> (string * int) list
 (** Label counts over variants (a variant with no labels counts as
     ["benign"]), most frequent first. *)
+
+val class_histogram : t -> (string * int) list
+(** [histogram t.variants]. *)
 
 val slowest : ?n:int -> t -> variant list
 

@@ -4,9 +4,12 @@
      round-trip (qcheck property);
    - the ETA estimator never raises its estimate when more lanes
      retire at a fixed clock reading;
-   - a real campaign's event stream normalizes identically at
-     jobs = 1 and jobs = 4, and replaying it agrees with the run
-     manifest (variant count, class histogram, step totals);
+   - a real campaign's and a Monte-Carlo run's event streams
+     normalize identically at jobs = 1 and jobs = 4, and replaying
+     them agrees with the run manifest (variant count, class
+     histogram, campaign step totals);
+   - a variant that raises still ends the stream with run_end and
+     leaves progress recording off;
    - the watch state fold and renderer are pure functions of the
      stream;
    - trend analysis units (sparkline scaling, regression flags,
@@ -86,11 +89,19 @@ let campaign_defects =
     D.Open_terminal { device = "x2.q1"; terminal = "b" };
   ]
 
-let run_campaign_with_events ~jobs ~events ~manifest =
+(* Run [f] with the event stream installed on [events]. *)
+let with_events events f =
   Ev.install (Ev.open_sink events);
-  Fun.protect ~finally:Ev.close @@ fun () ->
+  Fun.protect ~finally:Ev.close f
+
+let run_campaign_with_events ~jobs ~events ~manifest =
+  with_events events @@ fun () ->
   Cml_defects.Campaign.run ~stages:4 ~dut:2 ~freq:1e9 ~tstop:4e-9 ~jobs ~manifest
     ~defects:campaign_defects ()
+
+let run_mc_with_events ~jobs ~events ~manifest =
+  with_events events @@ fun () ->
+  Cml_dft.Montecarlo.run ~n:6 ~samples:12 ~seed:2 ~jobs ~manifest ()
 
 let with_tmp names f =
   let paths = List.map (fun n -> Filename.temp_file "cml_obs" n) names in
@@ -101,40 +112,48 @@ let count_ev name docs =
   List.length
     (List.filter (fun j -> Json.member "ev" j = Some (Json.Str name)) docs)
 
+(* The stream of a run at jobs=1 ([d1]) against the same run at
+   jobs=4 ([d4]) and the jobs=1 manifest [m]. *)
+let check_stream_parity ~what d1 d4 (m : Manifest.t) =
+  let check_int name = Alcotest.(check int) (what ^ ": " ^ name) in
+  (* determinism: the normalized streams are structurally equal *)
+  Alcotest.(check bool) (what ^ ": normalized streams identical at jobs=1 and jobs=4") true
+    (Ev.normalize d1 = Ev.normalize d4);
+  (* framing: one run_start, one utilization, one run_end, one
+     variant_start/variant_done pair per variant *)
+  check_int "one run_start" 1 (count_ev "run_start" d1);
+  check_int "one utilization" 1 (count_ev "utilization" d1);
+  check_int "one run_end" 1 (count_ev "run_end" d1);
+  check_int "variant_done count = manifest variants" (List.length m.Manifest.variants)
+    (count_ev "variant_done" d1);
+  check_int "variant_start count = manifest variants" (List.length m.Manifest.variants)
+    (count_ev "variant_start" d1);
+  (* parity: the run_end class histogram is the manifest's *)
+  let run_end = List.find (fun j -> Json.member "ev" j = Some (Json.Str "run_end")) d1 in
+  let classes =
+    match Json.member "classes" run_end with
+    | Some (Json.Obj kvs) ->
+        List.map (fun (k, v) -> (k, int_of_float (Option.get (Json.to_float v)))) kvs
+    | _ -> []
+  in
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": run_end classes = manifest class histogram")
+    (Manifest.class_histogram m) classes
+
 let test_events_replay_parity () =
   with_tmp [ "_ev1.jsonl"; "_man1.json"; "_ev4.jsonl"; "_man4.json" ]
   @@ function
   | [ ev1; man1; ev4; man4 ] ->
+      let mc1 = run_mc_with_events ~jobs:1 ~events:ev1 ~manifest:man1 in
+      let _mc4 = run_mc_with_events ~jobs:4 ~events:ev4 ~manifest:man4 in
+      check_stream_parity ~what:"montecarlo" (Ev.read_file ev1) (Ev.read_file ev4)
+        (Manifest.of_json (Json.parse_file man1));
+      Alcotest.(check int) "montecarlo: one variant per sample" 12
+        (List.length mc1.Cml_dft.Montecarlo.sample_reports);
       let c1 = run_campaign_with_events ~jobs:1 ~events:ev1 ~manifest:man1 in
       let _c4 = run_campaign_with_events ~jobs:4 ~events:ev4 ~manifest:man4 in
       let d1 = Ev.read_file ev1 and d4 = Ev.read_file ev4 in
-      (* determinism: the normalized streams are structurally equal *)
-      Alcotest.(check bool) "normalized streams identical at jobs=1 and jobs=4" true
-        (Ev.normalize d1 = Ev.normalize d4);
-      (* framing: one run_start, one utilization, one run_end, one
-         variant_start/variant_done pair per defect *)
-      Alcotest.(check int) "one run_start" 1 (count_ev "run_start" d1);
-      Alcotest.(check int) "one utilization" 1 (count_ev "utilization" d1);
-      Alcotest.(check int) "one run_end" 1 (count_ev "run_end" d1);
-      let m = Manifest.of_json (Json.parse_file man1) in
-      Alcotest.(check int) "variant_done count = manifest variants"
-        (List.length m.Manifest.variants)
-        (count_ev "variant_done" d1);
-      Alcotest.(check int) "variant_start count = manifest variants"
-        (List.length m.Manifest.variants)
-        (count_ev "variant_start" d1);
-      (* parity: the run_end class histogram is the manifest's *)
-      let run_end =
-        List.find (fun j -> Json.member "ev" j = Some (Json.Str "run_end")) d1
-      in
-      let classes =
-        match Json.member "classes" run_end with
-        | Some (Json.Obj kvs) ->
-            List.map (fun (k, v) -> (k, int_of_float (Option.get (Json.to_float v)))) kvs
-        | _ -> []
-      in
-      Alcotest.(check (list (pair string int)))
-        "run_end classes = manifest class histogram" (Manifest.class_histogram m) classes;
+      check_stream_parity ~what:"campaign" d1 d4 (Manifest.of_json (Json.parse_file man1));
       (* step totals: summed variant_done accepted_steps match the
          campaign's own variant telemetry *)
       let streamed_steps =
@@ -171,6 +190,39 @@ let test_events_replay_parity () =
       in
       Alcotest.(check bool) "utilization items cover the variants" true
         (items >= List.length campaign_defects)
+  | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Run driver: a raising variant still finishes the run *)
+
+exception Boom
+
+let test_driver_exception_path () =
+  with_tmp [ "_evx.jsonl" ]
+  @@ function
+  | [ events ] ->
+      let manifest = events ^ ".manifest.json" in
+      let ok =
+        { Cml_runtime.Run.classes = []; healing = None; failed = false; steps = 0; metrics = [] }
+      in
+      let raised =
+        with_events events @@ fun () ->
+        match
+          Cml_runtime.Run.run ~kind:"test" ~variant_span:"item" ~jobs:2 ~manifest
+            ~name:string_of_int ~setup:ignore
+            ~variant:(fun () i -> if i = 2 then raise Boom else (i, ok))
+            [ 0; 1; 2; 3; 4 ]
+        with
+        | _ -> false
+        | exception Boom -> true
+      in
+      Alcotest.(check bool) "the variant's exception propagates" true raised;
+      Alcotest.(check bool) "progress disabled afterwards" false
+        (Cml_telemetry.Progress.enabled ());
+      Alcotest.(check bool) "no manifest written" false (Sys.file_exists manifest);
+      let last = List.nth_opt (List.rev (Ev.read_file events)) 0 in
+      Alcotest.(check (option string)) "the stream ends with run_end" (Some "run_end")
+        (match Option.bind last (Json.member "ev") with Some (Json.Str ev) -> Some ev | _ -> None)
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -354,6 +406,8 @@ let () =
         [
           Alcotest.test_case "jobs=1/4 determinism and manifest parity" `Slow
             test_events_replay_parity;
+          Alcotest.test_case "a raising variant finishes the run" `Quick
+            test_driver_exception_path;
         ] );
       ( "watch", [ Alcotest.test_case "state fold and render" `Quick test_watch_state_fold ] );
       ( "trend",
