@@ -1,6 +1,8 @@
 (* Bechamel micro-benchmarks of the simulator kernels (sparse/dense
    LU, the numeric-only refactorization, Newton DC, one transient of
-   the paper's 8-buffer chain, waveform measurements) plus two
+   the paper's 8-buffer chain on the dense backend and a short one of
+   the c432 surrogate on the sparse backend, waveform measurements)
+   plus two
    system-level probes of the execution runtime:
 
    - solver reuse: how many full symbolic factorizations vs cheap
@@ -40,7 +42,8 @@ let dense_system n =
    unknowns) that the sparse-LU column ordering dominates the solve
    time.  The Jacobian pattern is extracted at the DC operating point;
    built once and shared across bechamel passes and the ordering
-   probe. *)
+   probe, which also start the sparse transient kernel from that
+   point. *)
 let c432 =
   lazy
     (let design =
@@ -53,7 +56,7 @@ let c432 =
      let n = E.unknown_count sim in
      let tr = Cml_numerics.Sparse.triplet_create n in
      List.iter (fun (i, j, v) -> Cml_numerics.Sparse.add tr i j v) g;
-     (net, Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress tr), n))
+     (net, Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress tr), n, x))
 
 let tests () =
   let open Bechamel in
@@ -62,7 +65,7 @@ let tests () =
   let rhs200 = Array.init 200 (fun i -> sin (float_of_int i)) in
   let rhs100 = Array.init 100 (fun i -> cos (float_of_int i)) in
   let refactor200 = Cml_numerics.Sparse_lu.factorize a200 in
-  let c432_net, c432_a, c432_n = Lazy.force c432 in
+  let c432_net, c432_a, c432_n, c432_x = Lazy.force c432 in
   let c432_rhs = Array.init c432_n (fun i -> sin (float_of_int i)) in
   let chain = Cml_cells.Chain.build ~stages:8 ~freq:100e6 () in
   let chain_net = chain.Cml_cells.Chain.builder.Cml_cells.Builder.net in
@@ -89,6 +92,12 @@ let tests () =
              c432_rhs)));
     Test.make ~name:"c432 DC operating point" (Staged.stage (fun () ->
         ignore (E.dc_operating_point (E.compile c432_net))));
+    (* the sparse backend's transient loop (assembly into the CSC
+       slots, numeric refactorization, bypass) from the DC point:
+       ~35 steps, ~130 Newton iterations *)
+    Test.make ~name:"c432 sparse transient (0.1 ns)" (Staged.stage (fun () ->
+        let sim = E.compile c432_net in
+        ignore (T.run ~x0:c432_x sim c432_net (T.config ~tstop:0.1e-9 ~max_step:10e-12 ()))));
     Test.make ~name:"chain DC operating point" (Staged.stage (fun () ->
         let sim = E.compile chain_net in
         ignore (E.dc_operating_point sim)));
@@ -155,7 +164,7 @@ let ordering_reduction p =
   1.0 -. (float_of_int p.o_nnz_amd /. float_of_int (max 1 p.o_nnz_natural))
 
 let ordering_probe () =
-  let _, a, n = Lazy.force c432 in
+  let _, a, n, _ = Lazy.force c432 in
   let rhs = Array.init n (fun i -> sin (float_of_int i)) in
   let measure ordering =
     let nnz = ref 0 and best = ref infinity in

@@ -22,6 +22,11 @@ val add_entry : t -> int -> int -> float -> unit
 (** [add_entry m i j v] accumulates [v] into [m.(i).(j)]; this is the
     stamping primitive. *)
 
+val data : t -> float array
+(** The row-major backing store, shared: entry [(i, j)] is element
+    [i * dim m + j].  For callers that precompute flat stamp
+    positions. *)
+
 val clear : t -> unit
 (** Reset every entry to zero, keeping the storage. *)
 

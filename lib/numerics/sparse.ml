@@ -35,10 +35,6 @@ let add t i j v =
   t.vals.(t.len) <- v;
   t.len <- t.len + 1
 
-let set_values t k v =
-  assert (k >= 0 && k < t.len);
-  t.vals.(k) <- v
-
 type csc = {
   n : int;
   colptr : int array;
@@ -51,7 +47,9 @@ type pattern = { mat : csc; entry_of_triplet : int array }
 (* Compression proceeds in two passes: first count per-column entries
    and sort coordinates into place, then merge duplicates while
    recording, for every original triplet entry, the stored slot it
-   contributes to (entry_of_triplet), so that refill is O(len). *)
+   contributes to (entry_of_triplet), which [slots] hands to callers
+   that re-stamp the same sequence.  Duplicates are summed in the
+   order the (unstable) row sort leaves them in. *)
 let compress t =
   let n = t.tn in
   let len = t.len in
@@ -116,13 +114,7 @@ let compress t =
 
 let csc_of_pattern p = p.mat
 
-let refill p t =
-  assert (t.len = Array.length p.entry_of_triplet);
-  Array.fill p.mat.values 0 (Array.length p.mat.values) 0.0;
-  for k = 0 to t.len - 1 do
-    let slot = p.entry_of_triplet.(k) in
-    p.mat.values.(slot) <- p.mat.values.(slot) +. t.vals.(k)
-  done
+let slots p = Array.copy p.entry_of_triplet
 
 let mul_vec a x =
   assert (Array.length x = a.n);

@@ -3,9 +3,10 @@
     The workflow mirrors a circuit simulator: device stamps are
     accumulated into a {!triplet} buffer once, the structural pattern
     is then {!compress}ed into a column-compressed ({!csc}) matrix,
-    and on subsequent Newton iterations only the numeric values are
-    refreshed through {!refill} (the pattern of an MNA system never
-    changes between iterations). *)
+    and on subsequent Newton iterations the caller adds each entry's
+    new value straight into the CSC [values] at the position
+    {!slots} gives it (the pattern of an MNA system never changes
+    between iterations). *)
 
 type triplet
 (** Append-only (row, col, value) buffer.  Duplicate coordinates are
@@ -26,11 +27,6 @@ val add : triplet -> int -> int -> float -> unit
 (** [add t i j v] appends entry [(i, j, v)].  Indices must lie in
     [0 .. n-1]. *)
 
-val set_values : triplet -> int -> float -> unit
-(** [set_values t k v] overwrites the value of the [k]-th appended
-    entry, keeping its coordinates.  Used to re-stamp a fixed
-    pattern. *)
-
 type csc = {
   n : int;
   colptr : int array;  (** length [n+1] *)
@@ -46,15 +42,21 @@ type pattern
 
 val compress : triplet -> pattern
 (** Build the pattern and the initial numeric values from the current
-    triplet contents. *)
+    triplet contents.  Duplicates are summed in the order the row sort
+    leaves them in, starting from the first of them, so the values
+    can differ from re-stamping the same sequence onto zeros through
+    {!slots}: in the last bit with three or more duplicates, and in
+    the sign of a zero sum. *)
 
 val csc_of_pattern : pattern -> csc
-(** The underlying matrix (shared, not copied: [refill] mutates it). *)
+(** The underlying matrix (shared, not copied: callers refresh its
+    [values] in place, which keeps it usable for
+    {!Sparse_lu.refactorize}). *)
 
-val refill : pattern -> triplet -> unit
-(** Refresh the numeric values from the triplet buffer, which must
-    contain exactly the entries (same order, same coordinates) that
-    were present at [compress] time. *)
+val slots : pattern -> int array
+(** [slots p] maps each triplet entry [k] of the compressed sequence
+    to the position in [(csc_of_pattern p).values] it accumulates
+    into (a fresh copy). *)
 
 val mul_vec : csc -> float array -> float array
 (** Matrix-vector product. *)

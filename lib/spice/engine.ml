@@ -27,23 +27,68 @@ let default_options =
 
 exception No_convergence of string
 
-type junction = { mutable v_last : float }
+(* ------------------------------------------------------------------ *)
+(* pn-junction kernels.
 
-(* SPICE3-style bypass caches: the stamps a junction device produced
-   at its last full evaluation, plus the (limited) junction voltages
-   they were computed at.  When the next load finds every junction of
-   the device within a safety-scaled convergence tolerance of the
-   cached voltages, the exponentials and their derivatives are skipped
-   and the cached stamps are replayed verbatim. *)
+   They live here, next to the assembler, because the build compiles
+   every module with [-opaque] in the dev profile: a call into another
+   module is never inlined, so each float argument and result would be
+   boxed on every device evaluation.  In-module and [@inline], the
+   exponential is computed once per junction and nothing is boxed. *)
+
+let limexp_arg = 80.0
+
+let[@inline] limexp x =
+  if x <= limexp_arg then exp x else exp limexp_arg *. (1.0 +. x -. limexp_arg)
+
+(* current and conductance of a junction at bias [v], given
+   [e = limexp (v / nvt)] *)
+let[@inline] junction_i ~is e = is *. (e -. 1.0)
+
+let[@inline] junction_g ~is ~nvt v e =
+  if v /. nvt <= limexp_arg then is *. e /. nvt else is *. exp limexp_arg /. nvt
+
+let junction_current ~is ~nvt v =
+  let e = limexp (v /. nvt) in
+  (junction_i ~is e, junction_g ~is ~nvt v e)
+
+let[@inline] vcrit ~is ~nvt = nvt *. log (nvt /. (Float.sqrt 2.0 *. is))
+
+(* Straight port of the classic SPICE3 pnjlim. *)
+let[@inline] pnjlim ~vnew ~vold ~nvt ~vcrit =
+  if vnew > vcrit && Float.abs (vnew -. vold) > 2.0 *. nvt then begin
+    if vold > 0.0 then begin
+      let arg = 1.0 +. ((vnew -. vold) /. nvt) in
+      if arg > 0.0 then vold +. (nvt *. log arg) else vcrit
+    end
+    else nvt *. log (vnew /. nvt)
+  end
+  else vnew
+
+(* ------------------------------------------------------------------ *)
+(* Device state.  Every mutable float of a device lives in a record
+   whose fields are all floats: OCaml stores those fields unboxed, so
+   the writes of a device evaluation allocate nothing (a float field
+   of a mixed record is a pointer to a fresh box on every write).
+
+   The junction caches are SPICE3-style bypass caches: the stamps a
+   junction device produced at its last full evaluation, plus the
+   (limited) junction voltages they were computed at.  When the next
+   load finds every junction of the device within a safety-scaled
+   convergence tolerance of the cached voltages, the exponentials and
+   their derivatives are skipped and the cached stamps are replayed
+   verbatim.  Whether a cache holds a full evaluation yet is the
+   device's own [valid] flag. *)
 type dcache = {
-  mutable d_valid : bool;
+  mutable d_vlast : float;  (** junction-limiting memory: the last limited voltage *)
   mutable d_v : float;  (** limited junction voltage of the cached stamps *)
   mutable d_g : float;
   mutable d_ieq : float;
 }
 
 type bcache = {
-  mutable b_valid : bool;
+  mutable b_vbe_last : float;
+  mutable b_vbc_last : float;
   mutable b_vbe : float;
   mutable b_vbc : float;
   mutable g_cb : float;
@@ -60,43 +105,61 @@ type bcache = {
   mutable i_e : float;
 }
 
+(* capacitor companion state: voltage and current at the last
+   accepted step *)
+type cstate = { mutable vprev : float; mutable iprev : float }
+
+(* a source's waveform value at the time of its last evaluation:
+   every iteration of one Newton call reads the same instant *)
+type wcache = { mutable w_time : float; mutable w_value : float }
+
 type sdev =
   | SRes of { i : int; j : int; g : float }
-  | SCap of { i : int; j : int; c : float; mutable vprev : float; mutable iprev : float }
-  | SDiode of { a : int; k : int; m : Models.diode; js : junction; dc : dcache }
+  | SCap of { i : int; j : int; c : float; cs : cstate }
+  | SDiode of { a : int; k : int; m : Models.diode; dc : dcache; mutable d_valid : bool }
   | SBjt of {
       name : string;
       c : int;
       b : int;
       e : int;
       m : Models.bjt;
-      jbe : junction;
-      jbc : junction;
       bc : bcache;
+      mutable b_valid : bool;
     }
-  | SVsrc of { p : int; n : int; br : int; w : Waveform.t }
-  | SIsrc of { p : int; n : int; w : Waveform.t }
+  | SVsrc of { p : int; n : int; br : int; w : Waveform.t; wc : wcache }
+  | SIsrc of { p : int; n : int; w : Waveform.t; wc : wcache }
   | SVcvs of { p : int; n : int; cp : int; cn : int; br : int; gain : float }
   | SVccs of { p : int; n : int; cp : int; cn : int; gm : float }
 
-type sparse_backend = {
-  trip : Cml_numerics.Sparse.triplet;
-  mutable pat : Cml_numerics.Sparse.pattern option;
-  mutable count : int;
-  mutable lu : Cml_numerics.Sparse_lu.factor option;
-      (** factor of the previous solve, kept for numeric-only
-          refactorization while the Jacobian pattern and pivot
-          stability allow it *)
-  mutable sstamp : int -> int -> float -> unit;
-      (** prebuilt stamping closure: appends triplet entries until the
-          pattern is compressed, then overwrites values in entry
-          order — no per-load closure allocation *)
+(* The stamp sequence.  Every load stamps the same (row, col) entries
+   in the same order (zero-valued entries included; a bypassed device
+   replays exactly the stamps of its full evaluation).  The first load
+   records that sequence into [trip]; compressing it yields, for each
+   entry k, the slot [slots.(k)] it accumulates into: a flat
+   row-major index into the dense matrix, or the CSC position for the
+   sparse backend.  Every later load adds entry k's value into
+   [vals.(slots.(k))] — no closure, no triplet, no scatter pass. *)
+type asm = {
+  trip : Cml_numerics.Sparse.triplet;  (** the recorded sequence, values of the first load *)
+  first_into : Cml_numerics.Dense.t option;
+      (** the dense backend's matrix, which takes the first load's
+          entries as they are recorded; the sparse backend's first
+          values come from the compression *)
+  mutable vals : float array;  (** dense matrix data, or CSC values once recorded *)
+  mutable slots : int array;  (** [[||]] until recorded *)
+  mutable next : int;  (** entries stamped by the current load *)
+  mutable recorded : bool;
 }
 
 type backend =
-  | BDense of { m : Cml_numerics.Dense.t; dws : Cml_numerics.Dense.ws;
-                dstamp : int -> int -> float -> unit }
-  | BSparse of sparse_backend
+  | BDense of { m : Cml_numerics.Dense.t; dws : Cml_numerics.Dense.ws }
+  | BSparse of {
+      mutable csc : Cml_numerics.Sparse.csc option;  (** [None] until recorded *)
+      mutable lu : Cml_numerics.Sparse_lu.factor option;
+          (** factor of the previous solve, kept for numeric-only
+              refactorization while the Jacobian pattern and pivot
+              stability allow it *)
+    }
 
 (* The per-sim counter block (documented in engine.mli).  Plain
    mutable ints: every writer is the one domain running the sim. *)
@@ -162,20 +225,31 @@ let diff ~since c =
     cold_fallbacks = c.cold_fallbacks - since.cold_fallbacks;
   }
 
+(* The float half of the per-sim load state, in a float-only record
+   for the same reason as the device caches. *)
+type fstate = {
+  mutable junction_error : float;
+      (** largest |v_solution - v_limited| over all junctions during
+          the last load; convergence requires this to vanish, or the
+          slow creep of [pnjlim] could be mistaken for a fixed point *)
+  mutable rt_geq : float;  (** [Dcop] is encoded as 0.0; a [Tran] geq is always > 0 *)
+  mutable rt_gshunt : float;
+  mutable rt_time : float;
+  mutable rt_srcscale : float;
+}
+
 type sim = {
   opts : options;
   nv : int;  (** node-voltage unknowns *)
   nunk : int;
   sdevs : sdev array;
   branches : (string, int) Hashtbl.t;
+  asm : asm;
   backend : backend;
   rhs : float array;
   ws_x : float array;  (** Newton workspace: current iterate *)
   ws_xnew : float array;  (** Newton workspace: linear-solve output *)
-  mutable junction_error : float;
-      (** largest |v_solution - v_limited| over all junctions during
-          the last load; convergence requires this to vanish, or the
-          slow creep of [pnjlim] could be mistaken for a fixed point *)
+  fs : fstate;
   mutable junction_worst : int;
       (** device index attaining [junction_error], -1 when no junction
           was limited during the last load *)
@@ -188,17 +262,14 @@ type sim = {
      gshunt as the previous load, assembled a matrix bit-identical to
      the previous one — so the previous factorization can be reused,
      and if time/srcscale/trap also match within one Newton call, the
-     whole linear system is identical and the solve can be skipped. *)
+     whole linear system is identical and the solve can be skipped.
+     The float half of the fingerprint lives in [fs]. *)
   mutable rt_full_evals : int;  (** junction full evaluations in the last load *)
   mutable rt_loaded : bool;  (** at least one [load] since compile / invalidation *)
   mutable rt_have_factor : bool;
       (** the backend factor matches the matrix of the last factored load *)
   mutable rt_matrix_unchanged : bool;  (** last load's matrix = previous load's *)
   mutable rt_system_identical : bool;  (** last load's matrix {e and} RHS = previous load's *)
-  mutable rt_geq : float;  (** [Dcop] is encoded as 0.0; a [Tran] geq is always > 0 *)
-  mutable rt_gshunt : float;
-  mutable rt_time : float;
-  mutable rt_srcscale : float;
   mutable rt_trap : bool;
 }
 
@@ -217,11 +288,12 @@ let options sim = sim.opts
 let branch_unknown sim name =
   match Hashtbl.find_opt sim.branches name with Some i -> i | None -> raise Not_found
 
-let dcache_create () = { d_valid = false; d_v = 0.0; d_g = 0.0; d_ieq = 0.0 }
+let dcache_create () = { d_vlast = 0.0; d_v = 0.0; d_g = 0.0; d_ieq = 0.0 }
 
 let bcache_create () =
   {
-    b_valid = false;
+    b_vbe_last = 0.0;
+    b_vbc_last = 0.0;
     b_vbe = 0.0;
     b_vbc = 0.0;
     g_cb = 0.0;
@@ -238,6 +310,8 @@ let bcache_create () =
     i_e = 0.0;
   }
 
+let wcache_create () = { w_time = nan; w_value = 0.0 }
+
 let compile ?(options = default_options) net =
   let nv = Netlist.node_count net - 1 in
   let sdevs = ref [] in
@@ -245,7 +319,9 @@ let compile ?(options = default_options) net =
   let nbranch = ref 0 in
   let u = node_unknown in
   let emit d = sdevs := d :: !sdevs in
-  let emit_cap i j c = if c > 0.0 then emit (SCap { i; j; c; vprev = 0.0; iprev = 0.0 }) in
+  let emit_cap i j c =
+    if c > 0.0 then emit (SCap { i; j; c; cs = { vprev = 0.0; iprev = 0.0 } })
+  in
   let compile_device = function
     | Netlist.Resistor { n1; n2; r; _ } ->
         if r <= 0.0 then invalid_arg "non-positive resistance";
@@ -254,13 +330,7 @@ let compile ?(options = default_options) net =
     | Netlist.Diode { anode; cathode; model; _ } ->
         emit
           (SDiode
-             {
-               a = u anode;
-               k = u cathode;
-               m = model;
-               js = { v_last = 0.0 };
-               dc = dcache_create ();
-             });
+             { a = u anode; k = u cathode; m = model; dc = dcache_create (); d_valid = false });
         emit_cap (u anode) (u cathode) model.Models.d_cj
     | Netlist.Bjt { name; collector; base; emitters; model } ->
         Array.iteri
@@ -274,9 +344,8 @@ let compile ?(options = default_options) net =
                    b = u base;
                    e = u e;
                    m = model;
-                   jbe = { v_last = 0.0 };
-                   jbc = { v_last = 0.0 };
                    bc = bcache_create ();
+                   b_valid = false;
                  });
             emit_cap (u base) (u e) model.Models.q_cje;
             emit_cap (u base) (u collector) model.Models.q_cjc)
@@ -285,9 +354,9 @@ let compile ?(options = default_options) net =
         let br = nv + !nbranch in
         incr nbranch;
         Hashtbl.replace branches name br;
-        emit (SVsrc { p = u npos; n = u nneg; br; w = wave })
+        emit (SVsrc { p = u npos; n = u nneg; br; w = wave; wc = wcache_create () })
     | Netlist.Isource { npos; nneg; wave; _ } ->
-        emit (SIsrc { p = u npos; n = u nneg; w = wave })
+        emit (SIsrc { p = u npos; n = u nneg; w = wave; wc = wcache_create () })
     | Netlist.Vcvs { name; npos; nneg; cpos; cneg; gain } ->
         let br = nv + !nbranch in
         incr nbranch;
@@ -304,30 +373,11 @@ let compile ?(options = default_options) net =
     | Sparse_solver -> true
     | Auto -> nunk > 60
   in
+  let dense = if use_sparse then None else Some (Cml_numerics.Dense.create nunk) in
   let backend =
-    if use_sparse then begin
-      let sp =
-        {
-          trip = Cml_numerics.Sparse.triplet_create nunk;
-          pat = None;
-          count = 0;
-          lu = None;
-          sstamp = (fun _ _ _ -> ());
-        }
-      in
-      sp.sstamp <-
-        (fun i j v -> if i >= 0 && j >= 0 then Cml_numerics.Sparse.add sp.trip i j v);
-      BSparse sp
-    end
-    else begin
-      let m = Cml_numerics.Dense.create nunk in
-      BDense
-        {
-          m;
-          dws = Cml_numerics.Dense.ws nunk;
-          dstamp = (fun i j v -> if i >= 0 && j >= 0 then Cml_numerics.Dense.add_entry m i j v);
-        }
-    end
+    match dense with
+    | None -> BSparse { csc = None; lu = None }
+    | Some m -> BDense { m; dws = Cml_numerics.Dense.ws nunk }
   in
   {
     opts = options;
@@ -335,11 +385,20 @@ let compile ?(options = default_options) net =
     nunk;
     sdevs = Array.of_list (List.rev !sdevs);
     branches;
+    asm =
+      {
+        trip = Cml_numerics.Sparse.triplet_create nunk;
+        first_into = dense;
+        vals = (match dense with Some m -> Cml_numerics.Dense.data m | None -> [||]);
+        slots = [||];
+        next = 0;
+        recorded = false;
+      };
     backend;
     rhs = Array.make nunk 0.0;
     ws_x = Array.make nunk 0.0;
     ws_xnew = Array.make nunk 0.0;
-    junction_error = 0.0;
+    fs = { junction_error = 0.0; rt_geq = nan; rt_gshunt = nan; rt_time = nan; rt_srcscale = nan };
     junction_worst = -1;
     counters = counters_create ();
     introspect = None;
@@ -348,31 +407,73 @@ let compile ?(options = default_options) net =
     rt_have_factor = false;
     rt_matrix_unchanged = false;
     rt_system_identical = false;
-    rt_geq = nan;
-    rt_gshunt = nan;
-    rt_time = nan;
-    rt_srcscale = nan;
     rt_trap = false;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Assembly.
-
-   The entry *sequence* produced by [load] is identical on every call
-   (same devices, same order, zero-valued entries included; a bypassed
-   device replays exactly the stamps of its full evaluation), which is
-   what lets the sparse backend compress the pattern once and then
-   only refresh numeric values. *)
+(* Assembly.  One primitive, [stamp], adds an entry's value into its
+   recorded slot; everything it and the device loop below touch is in
+   this module or a float array, so a load allocates nothing. *)
 
 let[@inline] vof x i = if i < 0 then 0.0 else x.(i)
 
 let[@inline] inject rhs i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v
 
-let[@inline] stamp_conductance stamp i j g =
-  stamp i i g;
-  stamp j j g;
-  stamp i j (-.g);
-  stamp j i (-.g)
+(* the first load's entries, and any entry past the recorded
+   sequence: out of line, so [stamp] stays small *)
+let stamp_unrecorded asm i j v =
+  if asm.recorded then
+    invalid_arg
+      (Printf.sprintf "Engine: a load stamped more than the %d recorded matrix entries"
+         (Array.length asm.slots))
+  else begin
+    Cml_numerics.Sparse.add asm.trip i j v;
+    match asm.first_into with Some m -> Cml_numerics.Dense.add_entry m i j v | None -> ()
+  end
+
+(* [i], [j] are raw unknown indices; ground (-1) entries are dropped *)
+let[@inline] stamp asm i j v =
+  if i >= 0 && j >= 0 then begin
+    let k = asm.next in
+    asm.next <- k + 1;
+    if k < Array.length asm.slots then begin
+      let s = Array.unsafe_get asm.slots k in
+      asm.vals.(s) <- asm.vals.(s) +. v
+    end
+    else stamp_unrecorded asm i j v
+  end
+
+let[@inline] stamp_conductance asm i j g =
+  stamp asm i i g;
+  stamp asm j j g;
+  stamp asm i j (-.g);
+  stamp asm j i (-.g)
+
+(* Close the first load: compress the recorded sequence and derive
+   each entry's slot from its CSC position.  The sparse backend's
+   matrix is the compressed one; the dense backend maps each CSC
+   position to its row-major index (its matrix already holds the
+   first load). *)
+let finish_recording sim =
+  let asm = sim.asm in
+  let pat = Cml_numerics.Sparse.compress asm.trip in
+  let a = Cml_numerics.Sparse.csc_of_pattern pat in
+  let pos = Cml_numerics.Sparse.slots pat in
+  (match sim.backend with
+  | BSparse sp ->
+      sp.csc <- Some a;
+      asm.vals <- a.Cml_numerics.Sparse.values;
+      asm.slots <- pos
+  | BDense _ ->
+      let n = sim.nunk in
+      let flat = Array.make (Cml_numerics.Sparse.nnz a) 0 in
+      for j = 0 to n - 1 do
+        for p = a.Cml_numerics.Sparse.colptr.(j) to a.Cml_numerics.Sparse.colptr.(j + 1) - 1 do
+          flat.(p) <- (a.Cml_numerics.Sparse.rowind.(p) * n) + j
+        done
+      done;
+      asm.slots <- Array.map (fun p -> flat.(p)) pos);
+  asm.recorded <- true
 
 (* Safety factor applied to the reltol/vntol convergence tolerance
    before it is used as the bypass threshold: a bypassed device's
@@ -388,129 +489,127 @@ let[@inline] bypass_close opts vnew vcache =
   <= bypass_safety
      *. ((opts.reltol *. Float.max (Float.abs vnew) (Float.abs vcache)) +. opts.vntol)
 
-(* Assembly core, parameterised on the matrix stamp: [load] targets
-   the compiled backend, [ac_system] a triplet collector.  [stamp]
-   receives raw unknown indices and must ignore negative (ground)
-   ones itself.  [bypass] enables the device-bypass fast path (off for
-   the AC linearisation, which wants the exact Jacobian).  Apart from
-   the [stamp] closure itself — prebuilt per backend — the hot path
-   allocates nothing. *)
-let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
-  let rhs = sim.rhs in
+let[@inline] note_junction sim di vnew vlim =
+  let err = Float.abs (vnew -. vlim) in
+  if err > sim.fs.junction_error then begin
+    sim.fs.junction_error <- err;
+    sim.junction_worst <- di
+  end
+
+let[@inline] source_value wc w time =
+  if time = wc.w_time then wc.w_value
+  else begin
+    let v = Waveform.value w time in
+    wc.w_time <- time;
+    wc.w_value <- v;
+    v
+  end
+
+(* Assemble the Newton system at [x] into the backend matrix and
+   [sim.rhs].  [bypass] enables the device-bypass fast path (off for
+   the AC linearisation, which wants the exact Jacobian). *)
+let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass =
+  let asm = sim.asm and rhs = sim.rhs in
+  Array.fill asm.vals 0 (Array.length asm.vals) 0.0;
+  asm.next <- 0;
   Array.fill rhs 0 sim.nunk 0.0;
   let opts = sim.opts in
   let cnt = sim.counters in
   let gmin = opts.gmin in
   let nvt = Models.boltzmann_vt in
-  sim.junction_error <- 0.0;
+  sim.fs.junction_error <- 0.0;
   sim.junction_worst <- -1;
   sim.rt_full_evals <- 0;
   (* gshunt diagonal for every node unknown: also guarantees a
      structurally non-empty diagonal for the sparse pattern *)
   for i = 0 to sim.nv - 1 do
-    stamp i i gshunt
+    stamp asm i i gshunt
   done;
   let sdevs = sim.sdevs in
   for di = 0 to Array.length sdevs - 1 do
     match sdevs.(di) with
-    | SRes { i; j; g } -> stamp_conductance stamp i j g
-    | SCap { i; j; c; vprev; iprev } ->
-        let g, irhs =
+    | SRes { i; j; g } -> stamp_conductance asm i j g
+    | SCap { i; j; c; cs } ->
+        let g = match integ with Dcop -> 0.0 | Tran { geq; _ } -> geq *. c in
+        let irhs =
           match integ with
-          | Dcop -> (0.0, 0.0)
-          | Tran { geq; trap } ->
-              let g = geq *. c in
-              (g, (g *. vprev) +. if trap then iprev else 0.0)
+          | Dcop -> 0.0
+          | Tran { trap; _ } -> (g *. cs.vprev) +. if trap then cs.iprev else 0.0
         in
-        stamp_conductance stamp i j g;
+        stamp_conductance asm i j g;
         inject rhs i irhs;
         inject rhs j (-.irhs)
-    | SDiode { a; k; m; js; dc } ->
+    | SDiode d ->
         cnt.diode_loads <- cnt.diode_loads + 1;
+        let a = d.a and k = d.k and dc = d.dc in
         let vnew = vof x a -. vof x k in
-        if bypass && dc.d_valid && bypass_close opts vnew dc.d_v then begin
+        if bypass && d.d_valid && bypass_close opts vnew dc.d_v then begin
           cnt.diode_bypassed <- cnt.diode_bypassed + 1;
-          stamp_conductance stamp a k dc.d_g;
+          stamp_conductance asm a k dc.d_g;
           inject rhs a dc.d_ieq;
           inject rhs k (-.dc.d_ieq)
         end
         else begin
           sim.rt_full_evals <- sim.rt_full_evals + 1;
-          let n_nvt = m.Models.d_n *. nvt in
-          let vlim =
-            Models.pnjlim ~vnew ~vold:js.v_last ~nvt:n_nvt
-              ~vcrit:(Models.vcrit ~is:m.Models.d_is ~nvt:n_nvt)
-          in
-          js.v_last <- vlim;
-          let err = Float.abs (vnew -. vlim) in
-          if err > sim.junction_error then begin
-            sim.junction_error <- err;
-            sim.junction_worst <- di
-          end;
-          let id, gd = Models.junction_current ~is:m.Models.d_is ~nvt:n_nvt vlim in
-          let g = gd +. gmin and i0 = id +. (gmin *. vlim) in
-          stamp_conductance stamp a k g;
+          let is = d.m.Models.d_is in
+          let n_nvt = d.m.Models.d_n *. nvt in
+          let vlim = pnjlim ~vnew ~vold:dc.d_vlast ~nvt:n_nvt ~vcrit:(vcrit ~is ~nvt:n_nvt) in
+          dc.d_vlast <- vlim;
+          note_junction sim di vnew vlim;
+          let ex = limexp (vlim /. n_nvt) in
+          let g = junction_g ~is ~nvt:n_nvt vlim ex +. gmin
+          and i0 = junction_i ~is ex +. (gmin *. vlim) in
+          stamp_conductance asm a k g;
           let ieq = (g *. vlim) -. i0 in
           inject rhs a ieq;
           inject rhs k (-.ieq);
-          dc.d_valid <- true;
+          d.d_valid <- true;
           dc.d_v <- vlim;
           dc.d_g <- g;
           dc.d_ieq <- ieq
         end
-    | SBjt { c; b; e; m; jbe; jbc; bc; name = _ } ->
+    | SBjt q ->
         cnt.bjt_loads <- cnt.bjt_loads + 1;
+        let c = q.c and b = q.b and e = q.e and bc = q.bc in
         let vbe_new = vof x b -. vof x e in
         let vbc_new = vof x b -. vof x c in
         if
-          bypass && bc.b_valid
+          bypass && q.b_valid
           && bypass_close opts vbe_new bc.b_vbe
           && bypass_close opts vbc_new bc.b_vbc
         then begin
           cnt.bjt_bypassed <- cnt.bjt_bypassed + 1;
-          stamp c b bc.g_cb;
-          stamp c c bc.g_cc;
-          stamp c e bc.g_ce;
-          stamp b b bc.g_bb;
-          stamp b c bc.g_bc;
-          stamp b e bc.g_be;
-          stamp e b bc.g_eb;
-          stamp e c bc.g_ec;
-          stamp e e bc.g_ee;
+          stamp asm c b bc.g_cb;
+          stamp asm c c bc.g_cc;
+          stamp asm c e bc.g_ce;
+          stamp asm b b bc.g_bb;
+          stamp asm b c bc.g_bc;
+          stamp asm b e bc.g_be;
+          stamp asm e b bc.g_eb;
+          stamp asm e c bc.g_ec;
+          stamp asm e e bc.g_ee;
           inject rhs c bc.i_c;
           inject rhs b bc.i_b;
           inject rhs e bc.i_e
         end
         else begin
           sim.rt_full_evals <- sim.rt_full_evals + 1;
-          let vcrit = Models.vcrit ~is:m.Models.q_is ~nvt in
-          let vbe =
-            let v = Models.pnjlim ~vnew:vbe_new ~vold:jbe.v_last ~nvt ~vcrit in
-            jbe.v_last <- v;
-            let err = Float.abs (vbe_new -. v) in
-            if err > sim.junction_error then begin
-              sim.junction_error <- err;
-              sim.junction_worst <- di
-            end;
-            v
-          in
-          let vbc =
-            let v = Models.pnjlim ~vnew:vbc_new ~vold:jbc.v_last ~nvt ~vcrit in
-            jbc.v_last <- v;
-            let err = Float.abs (vbc_new -. v) in
-            if err > sim.junction_error then begin
-              sim.junction_error <- err;
-              sim.junction_worst <- di
-            end;
-            v
-          in
-          let ift, gif = Models.junction_current ~is:m.Models.q_is ~nvt vbe in
-          let irt, gir = Models.junction_current ~is:m.Models.q_is ~nvt vbc in
+          let is = q.m.Models.q_is in
+          let vcrit = vcrit ~is ~nvt in
+          let vbe = pnjlim ~vnew:vbe_new ~vold:bc.b_vbe_last ~nvt ~vcrit in
+          bc.b_vbe_last <- vbe;
+          note_junction sim di vbe_new vbe;
+          let vbc = pnjlim ~vnew:vbc_new ~vold:bc.b_vbc_last ~nvt ~vcrit in
+          bc.b_vbc_last <- vbc;
+          note_junction sim di vbc_new vbc;
+          let ef = limexp (vbe /. nvt) and er = limexp (vbc /. nvt) in
+          let ift = junction_i ~is ef and gif = junction_g ~is ~nvt vbe ef in
+          let irt = junction_i ~is er and gir = junction_g ~is ~nvt vbc er in
           let icc = ift -. irt in
-          let ibe = (ift /. m.Models.q_bf) +. (gmin *. vbe) in
-          let gbe = (gif /. m.Models.q_bf) +. gmin in
-          let ibc = (irt /. m.Models.q_br) +. (gmin *. vbc) in
-          let gbc = (gir /. m.Models.q_br) +. gmin in
+          let ibe = (ift /. q.m.Models.q_bf) +. (gmin *. vbe) in
+          let gbe = (gif /. q.m.Models.q_bf) +. gmin in
+          let ibc = (irt /. q.m.Models.q_br) +. (gmin *. vbc) in
+          let gbc = (gir /. q.m.Models.q_br) +. gmin in
           let ic0 = icc -. ibc in
           let ib0 = ibe +. ibc in
           let ie0 = -.icc -. ibe in
@@ -523,19 +622,19 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           let ic_rhs = (gif *. vbe) +. (((-.gir) -. gbc) *. vbc) -. ic0 in
           let ib_rhs = (gbe *. vbe) +. (gbc *. vbc) -. ib0 in
           let ie_rhs = (((-.gif) -. gbe) *. vbe) +. (gir *. vbc) -. ie0 in
-          stamp c b dic_dvb;
-          stamp c c dic_dvc;
-          stamp c e dic_dve;
-          stamp b b dib_dvb;
-          stamp b c dib_dvc;
-          stamp b e dib_dve;
-          stamp e b die_dvb;
-          stamp e c die_dvc;
-          stamp e e die_dve;
+          stamp asm c b dic_dvb;
+          stamp asm c c dic_dvc;
+          stamp asm c e dic_dve;
+          stamp asm b b dib_dvb;
+          stamp asm b c dib_dvc;
+          stamp asm b e dib_dve;
+          stamp asm e b die_dvb;
+          stamp asm e c die_dvc;
+          stamp asm e e die_dve;
           inject rhs c ic_rhs;
           inject rhs b ib_rhs;
           inject rhs e ie_rhs;
-          bc.b_valid <- true;
+          q.b_valid <- true;
           bc.b_vbe <- vbe;
           bc.b_vbc <- vbc;
           bc.g_cb <- dic_dvb;
@@ -551,56 +650,37 @@ let assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass ~stamp =
           bc.i_b <- ib_rhs;
           bc.i_e <- ie_rhs
         end
-    | SVsrc { p; n; br; w } ->
-        stamp br p 1.0;
-        stamp br n (-1.0);
-        stamp p br 1.0;
-        stamp n br (-1.0);
-        rhs.(br) <- rhs.(br) +. (srcscale *. Waveform.value w time)
-    | SIsrc { p; n; w } ->
-        let i = srcscale *. Waveform.value w time in
+    | SVsrc { p; n; br; w; wc } ->
+        stamp asm br p 1.0;
+        stamp asm br n (-1.0);
+        stamp asm p br 1.0;
+        stamp asm n br (-1.0);
+        rhs.(br) <- rhs.(br) +. (srcscale *. source_value wc w time)
+    | SIsrc { p; n; w; wc } ->
+        let i = srcscale *. source_value wc w time in
         inject rhs p (-.i);
         inject rhs n i
     | SVcvs { p; n; cp; cn; br; gain } ->
-        stamp br p 1.0;
-        stamp br n (-1.0);
-        stamp br cp (-.gain);
-        stamp br cn gain;
-        stamp p br 1.0;
-        stamp n br (-1.0)
+        stamp asm br p 1.0;
+        stamp asm br n (-1.0);
+        stamp asm br cp (-.gain);
+        stamp asm br cn gain;
+        stamp asm p br 1.0;
+        stamp asm n br (-1.0)
     | SVccs { p; n; cp; cn; gm } ->
-        stamp p cp gm;
-        stamp p cn (-.gm);
-        stamp n cp (-.gm);
-        stamp n cn gm
-  done
+        stamp asm p cp gm;
+        stamp asm p cn (-.gm);
+        stamp asm n cp (-.gm);
+        stamp asm n cn gm
+  done;
+  if not asm.recorded then finish_recording sim
+  else if asm.next <> Array.length asm.slots then
+    invalid_arg
+      (Printf.sprintf "Engine: a load stamped %d of the %d recorded matrix entries" asm.next
+         (Array.length asm.slots))
 
 let load sim ~x ~time ~integ ~srcscale ~gshunt =
-  let stamp =
-    match sim.backend with
-    | BDense { m; dstamp; _ } ->
-        Cml_numerics.Dense.clear m;
-        dstamp
-    | BSparse sp ->
-        sp.count <- 0;
-        sp.sstamp
-  in
-  assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass:sim.opts.bypass ~stamp;
-  (match sim.backend with
-  | BDense _ -> ()
-  | BSparse sp -> begin
-      match sp.pat with
-      | None ->
-          sp.pat <- Some (Cml_numerics.Sparse.compress sp.trip);
-          (* from now on only values are refreshed, in entry order *)
-          sp.sstamp <-
-            (fun i j v ->
-              if i >= 0 && j >= 0 then begin
-                Cml_numerics.Sparse.set_values sp.trip sp.count v;
-                sp.count <- sp.count + 1
-              end)
-      | Some pat -> Cml_numerics.Sparse.refill pat sp.trip
-    end);
+  assemble sim ~x ~time ~integ ~srcscale ~gshunt ~bypass:sim.opts.bypass;
   (* Jacobian-reuse bookkeeping.  The matrix depends only on the fixed
      linear stamps, the integration coefficient (geq * C for caps; 0.0
      encodes DC and a transient geq is always positive), gshunt and
@@ -611,25 +691,27 @@ let load sim ~x ~time ~integ ~srcscale ~gshunt =
      capacitor companion states; the latter only change between Newton
      calls, which is why [newton] limits the solve-skip to consecutive
      iterations of one call. *)
-  let geq, trap = match integ with Dcop -> (0.0, false) | Tran { geq; trap } -> (geq, trap) in
+  let geq = match integ with Dcop -> 0.0 | Tran { geq; _ } -> geq in
+  let trap = match integ with Dcop -> false | Tran { trap; _ } -> trap in
+  let fs = sim.fs in
   let matrix_unchanged =
-    sim.rt_loaded && sim.rt_full_evals = 0 && geq = sim.rt_geq && gshunt = sim.rt_gshunt
+    sim.rt_loaded && sim.rt_full_evals = 0 && geq = fs.rt_geq && gshunt = fs.rt_gshunt
   in
   sim.rt_matrix_unchanged <- matrix_unchanged;
   sim.rt_system_identical <-
-    matrix_unchanged && time = sim.rt_time && srcscale = sim.rt_srcscale && trap = sim.rt_trap;
+    matrix_unchanged && time = fs.rt_time && srcscale = fs.rt_srcscale && trap = sim.rt_trap;
   sim.rt_loaded <- true;
-  sim.rt_geq <- geq;
-  sim.rt_gshunt <- gshunt;
-  sim.rt_time <- time;
-  sim.rt_srcscale <- srcscale;
+  fs.rt_geq <- geq;
+  fs.rt_gshunt <- gshunt;
+  fs.rt_time <- time;
+  fs.rt_srcscale <- srcscale;
   sim.rt_trap <- trap
 
 let solve_linear_into sim out =
   let reuse = sim.rt_matrix_unchanged && sim.rt_have_factor in
   let cnt = sim.counters in
   match sim.backend with
-  | BDense { m; dws; _ } ->
+  | BDense { m; dws } ->
       if reuse then begin
         cnt.reused_factorizations <- cnt.reused_factorizations + 1;
         Cml_numerics.Dense.resolve_ws dws sim.rhs out
@@ -640,14 +722,13 @@ let solve_linear_into sim out =
         sim.rt_have_factor <- true;
         Cml_numerics.Dense.resolve_ws dws sim.rhs out
       end
-  | BSparse ({ pat = Some pat; _ } as sp) -> begin
+  | BSparse ({ csc = Some a; _ } as sp) -> begin
       match sp.lu with
       | Some f when reuse ->
           cnt.reused_factorizations <- cnt.reused_factorizations + 1;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
       | _ ->
           sim.rt_have_factor <- false;
-          let a = Cml_numerics.Sparse.csc_of_pattern pat in
           (* the pattern of an MNA Jacobian is fixed across Newton
              iterations and timesteps, so the symbolic work (DFS reach,
              pivot order, fill pattern, buffer allocation) is done once
@@ -679,7 +760,7 @@ let solve_linear_into sim out =
           sim.rt_have_factor <- true;
           Cml_numerics.Sparse_lu.solve_into f sim.rhs out
     end
-  | BSparse { pat = None; _ } -> assert false
+  | BSparse { csc = None; _ } -> assert false
 
 let counters sim = sim.counters
 
@@ -751,9 +832,9 @@ type lu_report = {
    construction *)
 let lu_report sim =
   match sim.backend with
-  | BDense _ | BSparse { lu = None; _ } | BSparse { pat = None; _ } -> None
-  | BSparse { lu = Some f; pat = Some p; _ } ->
-      let h = Cml_numerics.Sparse_lu.health f (Cml_numerics.Sparse.csc_of_pattern p) in
+  | BDense _ | BSparse { lu = None; _ } | BSparse { csc = None; _ } -> None
+  | BSparse { lu = Some f; csc = Some a } ->
+      let h = Cml_numerics.Sparse_lu.health f a in
       let nl, nu = Cml_numerics.Sparse_lu.lu_nnz f in
       Some
         {
@@ -823,14 +904,15 @@ let converged sim x x' =
   !ok
 
 let set_junction_states sim x =
-  Array.iter
-    (function
-      | SDiode { a; k; js; _ } -> js.v_last <- vof x a -. vof x k
-      | SBjt { c; b; e; jbe; jbc; _ } ->
-          jbe.v_last <- vof x b -. vof x e;
-          jbc.v_last <- vof x b -. vof x c
-      | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
-    sim.sdevs
+  let sdevs = sim.sdevs in
+  for di = 0 to Array.length sdevs - 1 do
+    match sdevs.(di) with
+    | SDiode { a; k; dc; _ } -> dc.d_vlast <- vof x a -. vof x k
+    | SBjt { c; b; e; bc; _ } ->
+        bc.b_vbe_last <- vof x b -. vof x e;
+        bc.b_vbc_last <- vof x b -. vof x c
+    | SRes _ | SCap _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
+  done
 
 (* The iterate loop works entirely in the per-sim workspace ([ws_x],
    [ws_xnew], the backend matrix/factor scratch): no vector or matrix
@@ -867,9 +949,15 @@ let newton sim ~time ~integ ?(srcscale = 1.0) ?(gshunt = 0.0) x0 =
         match solve_linear_into sim xn with
         | exception (Cml_numerics.Dense.Singular _ | Cml_numerics.Sparse_lu.Singular _) -> None
         | () ->
-            Introspect.note_newton sim.introspect ~time ~iter ~x ~xn
-              ~junction_error:sim.junction_error ~junction_worst:sim.junction_worst;
-            let junctions_settled = sim.junction_error <= sim.opts.vntol +. (sim.opts.reltol *. 1.0) in
+            (* matched here so the disabled hook boxes no float argument *)
+            (match sim.introspect with
+            | None -> ()
+            | Some _ as r ->
+                Introspect.note_newton r ~time ~iter ~x ~xn
+                  ~junction_error:sim.fs.junction_error ~junction_worst:sim.junction_worst);
+            let junctions_settled =
+              sim.fs.junction_error <= sim.opts.vntol +. (sim.opts.reltol *. 1.0)
+            in
             if iter > 0 && junctions_settled && converged sim x xn then
               Some (Cml_numerics.Vec.copy xn, iter)
             else begin
@@ -944,51 +1032,59 @@ let dc_from ?(time = 0.0) sim x0 =
           | None -> raise (No_convergence "dc continuation")))
 
 let init_capacitor_states sim x =
-  Array.iter
-    (function
-      | SCap c ->
-          c.vprev <- vof x c.i -. vof x c.j;
-          c.iprev <- 0.0
-      | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
-    sim.sdevs
+  let sdevs = sim.sdevs in
+  for di = 0 to Array.length sdevs - 1 do
+    match sdevs.(di) with
+    | SCap { i; j; cs; _ } ->
+        cs.vprev <- vof x i -. vof x j;
+        cs.iprev <- 0.0
+    | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
+  done
 
 let update_capacitor_states sim x ~h ~trap =
-  Array.iter
-    (function
-      | SCap c ->
-          let v = vof x c.i -. vof x c.j in
-          let i_new =
-            if trap then (2.0 *. c.c /. h *. (v -. c.vprev)) -. c.iprev
-            else c.c /. h *. (v -. c.vprev)
-          in
-          c.vprev <- v;
-          c.iprev <- i_new
-      | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ())
-    sim.sdevs
+  let sdevs = sim.sdevs in
+  for di = 0 to Array.length sdevs - 1 do
+    match sdevs.(di) with
+    | SCap { i; j; c; cs } ->
+        let v = vof x i -. vof x j in
+        let i_new =
+          if trap then (2.0 *. c /. h *. (v -. cs.vprev)) -. cs.iprev
+          else c /. h *. (v -. cs.vprev)
+        in
+        cs.vprev <- v;
+        cs.iprev <- i_new
+    | SRes _ | SDiode _ | SBjt _ | SVsrc _ | SIsrc _ | SVcvs _ | SVccs _ -> ()
+  done
 
 let ac_system sim x =
   set_junction_states sim x;
-  (* this assembly full-evaluates every junction into a side triplet,
-     refreshing the bypass caches without touching the backend matrix:
-     the factor and the previous-load fingerprint are both stale now *)
+  (* this assembly full-evaluates every junction into the backend
+     matrix, refreshing the bypass caches: the factor and the
+     previous-load fingerprint are both stale now *)
   sim.rt_loaded <- false;
   sim.rt_have_factor <- false;
-  (* collect the conductance stamps straight off the device sweep
-     into a triplet (compression sums duplicates), instead of probing
-     every cell of the assembled backend matrix — the dense backend
-     made that an O(n^2) scan with a cons per probe.  Bypass is off:
-     the small-signal G must be the exact linearisation at [x], not a
-     cached one. *)
-  let trip = Cml_numerics.Sparse.triplet_create sim.nunk in
-  let stamp i j v = if i >= 0 && j >= 0 then Cml_numerics.Sparse.add trip i j v in
-  assemble sim ~x ~time:0.0 ~integ:Dcop ~srcscale:1.0 ~gshunt:0.0 ~bypass:false ~stamp;
-  let a = Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress trip) in
+  (* Bypass is off: the small-signal G must be the exact linearisation
+     at [x], not a cached one.  G is read back over the recorded
+     pattern (the backend's own CSC, or the dense matrix at the
+     pattern's coordinates), never by probing every dense cell. *)
+  assemble sim ~x ~time:0.0 ~integ:Dcop ~srcscale:1.0 ~gshunt:0.0 ~bypass:false;
+  let a =
+    match sim.backend with
+    | BSparse { csc = Some a; _ } -> a
+    | BSparse { csc = None; _ } -> assert false
+    | BDense _ -> Cml_numerics.Sparse.csc_of_pattern (Cml_numerics.Sparse.compress sim.asm.trip)
+  in
+  let open Cml_numerics.Sparse in
   let g_entries =
     let acc = ref [] in
-    for j = 0 to a.Cml_numerics.Sparse.n - 1 do
-      for p = a.Cml_numerics.Sparse.colptr.(j) to a.Cml_numerics.Sparse.colptr.(j + 1) - 1 do
-        let v = a.Cml_numerics.Sparse.values.(p) in
-        if v <> 0.0 then acc := (a.Cml_numerics.Sparse.rowind.(p), j, v) :: !acc
+    for j = 0 to a.n - 1 do
+      for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+        let v =
+          match sim.backend with
+          | BSparse _ -> a.values.(p)
+          | BDense { m; _ } -> Cml_numerics.Dense.get m a.rowind.(p) j
+        in
+        if v <> 0.0 then acc := (a.rowind.(p), j, v) :: !acc
       done
     done;
     !acc
@@ -1005,7 +1101,6 @@ let ac_system sim x =
   in
   (g_entries, c_entries)
 
-
 type bjt_op = { q_name : string; vbe : float; vce : float; ic : float; ib : float }
 
 let bjt_report sim x =
@@ -1016,8 +1111,8 @@ let bjt_report sim x =
         match d with
         | SBjt { name; c; b; e; m; _ } ->
             let vbe = vof x b -. vof x e and vbc = vof x b -. vof x c in
-            let ift, _ = Models.junction_current ~is:m.Models.q_is ~nvt vbe in
-            let irt, _ = Models.junction_current ~is:m.Models.q_is ~nvt vbc in
+            let ift, _ = junction_current ~is:m.Models.q_is ~nvt vbe in
+            let irt, _ = junction_current ~is:m.Models.q_is ~nvt vbc in
             let ic = ift -. irt -. (irt /. m.Models.q_br) in
             let ib = (ift /. m.Models.q_bf) +. (irt /. m.Models.q_br) in
             { q_name = name; vbe; vce = vof x c -. vof x e; ic; ib } :: acc

@@ -32,6 +32,27 @@ type options = {
 
 val default_options : options
 
+(** {2 pn-junction maths}
+
+    The one copy of the junction kernels, shared by the diode and BJT
+    evaluators of the assembler and by static checks.  They are
+    defined in this module so the assembler inlines them: the build
+    compiles modules with [-opaque], so a cross-module call would box
+    every float argument and result of every device evaluation. *)
+
+val limexp : float -> float
+(** [limexp x] is [exp x] for [x <= 80] and a linear continuation
+    above, so device evaluation never overflows. *)
+
+val junction_current : is:float -> nvt:float -> float -> float * float
+(** [junction_current ~is ~nvt v] is the pn-junction current and its
+    conductance [(i, g)] at bias [v] (no gmin included). *)
+
+val pnjlim : vnew:float -> vold:float -> nvt:float -> vcrit:float -> float
+(** SPICE junction-voltage limiting: clamp the Newton update of a
+    junction voltage to avoid overflow-driven divergence.  [vcrit] is
+    the critical voltage [nvt * ln (nvt / (sqrt 2 * is))]. *)
+
 exception No_convergence of string
 (** Raised when every homotopy fails to converge. *)
 

@@ -35,11 +35,12 @@ let lte_ok opts xpred x =
   let band = ref true in
   let reltol = opts.Engine.lte_reltol_factor *. opts.Engine.reltol
   and abstol = opts.Engine.lte_abstol in
-  Array.iteri
-    (fun i xp ->
-      let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs x.(i))) in
-      if Float.abs (x.(i) -. xp) > tol then band := false)
-    xpred;
+  (* a plain loop: an [Array.iteri] closure would box every element *)
+  for i = 0 to Array.length xpred - 1 do
+    let xp = xpred.(i) in
+    let tol = abstol +. (reltol *. Float.max (Float.abs xp) (Float.abs x.(i))) in
+    if Float.abs (x.(i) -. xp) > tol then band := false
+  done;
   !band
 
 (* Recorded snapshots live in one flat row-major matrix that doubles
@@ -82,13 +83,9 @@ type probe = {
   pb_values : Cml_numerics.Fbuf.t;
 }
 
-type observers = {
-  ob_times : Cml_numerics.Fbuf.t;
-  ob_probes : probe array;
-  ob_on_step : (float -> float array -> unit) option;
-}
+type observers = { ob_times : Cml_numerics.Fbuf.t; ob_probes : probe array }
 
-let observers ?on_step probes =
+let observers probes =
   let mk (name, index) =
     if index < -1 then
       invalid_arg (Printf.sprintf "Transient.observers: bad unknown index %d for %s" index name);
@@ -97,7 +94,6 @@ let observers ?on_step probes =
   {
     ob_times = Cml_numerics.Fbuf.create ();
     ob_probes = Array.of_list (List.map mk probes);
-    ob_on_step = on_step;
   }
 
 let observe obs t x =
@@ -109,8 +105,7 @@ let observe obs t x =
         (fun p ->
           Cml_numerics.Fbuf.push p.pb_values
             (if p.pb_index < 0 then 0.0 else Array.unsafe_get x p.pb_index))
-        o.ob_probes;
-      (match o.ob_on_step with None -> () | Some f -> f t x)
+        o.ob_probes
 
 let probe_names o = Array.to_list (Array.map (fun p -> p.pb_name) o.ob_probes)
 

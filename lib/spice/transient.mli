@@ -42,19 +42,15 @@ type observers
     Campaigns therefore measure from probes and keep only a thinned
     dense trajectory. *)
 
-val observers :
-  ?on_step:(float -> float array -> unit) -> (string * int) list -> observers
+val observers : (string * int) list -> observers
 (** [observers probes] builds a probe set from [(name, unknown index)]
     pairs — node indices from {!Engine.node_unknown} (ground, [-1],
     streams zeros) or branch indices from {!Engine.branch_unknown}.
-    [on_step] is called after the probes are sampled at each accepted
-    step with the time and the full solution vector (do not retain the
-    vector: it is reused by the step loop).
     @raise Invalid_argument on an index below [-1]. *)
 
 val observe : observers option -> float -> float array -> unit
-(** The step-loop dispatch: sample every probe (and run [on_step]) at
-    an accepted step, or return immediately when [None].  Exposed so
+(** The step-loop dispatch: sample every probe at an accepted step,
+    or return immediately when [None].  Exposed so
     the overhead benchmark can measure the observers-disabled cost of
     the hook — callers of {!run} never need it. *)
 
